@@ -289,16 +289,15 @@ def cmd_tetris(args):
 
 def cmd_render(args):
     with open(args.infile, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if args.kind == "snake":
-        svg = render.render_cells([tuple(c) for c in data["cells"]])
-    elif args.kind == "wug":
-        snake = WugSnake(data["n"], {(i, j): w for i, j, w in data["weights"]})
-        svg = render.render_wug(snake)
+        text = handle.read()
+    if args.kind == "wug":
+        svg = render.render_wug(WugSnake.from_json(text))
+    elif args.kind == "snake":
+        svg = render.render_cells([tuple(c) for c in json.loads(text)["cells"]])
     elif args.kind == "embedding2":
-        svg = render.render_embedding2(lattice.embed2(data["word"]))
+        svg = render.render_embedding2(lattice.embed2(json.loads(text)["word"]))
     else:
-        svg = render.render_embedding3(lattice.embed3(data["word"]))
+        svg = render.render_embedding3(lattice.embed3(json.loads(text)["word"]))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg)
     return 0

@@ -136,19 +136,6 @@ class QuadraticSurd:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
-def surd_arith(x: QuadraticSurd, y: QuadraticSurd, op: str):
-    """Dispatch helper for surd arithmetic: add, mul, invert, compare."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "invert":
-        return x.invert()
-    if op == "compare":
-        return x.compare(y)
-    raise ValueError(f"unknown op {op!r}")
-
-
 class IntMatrix:
     """Immutable dense square matrix of arbitrary-precision integers."""
 
@@ -243,24 +230,67 @@ class IntMatrix:
 
 
 def _bareiss(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination; mutates its argument."""
+    """Fraction-free Bareiss elimination; mutates its argument.
+
+    Step k turns a row i below the pivot into
+    ``(row_i * p_k - m[i][k] * pivot_row) / p_{k-1}``.  When m[i][k] is
+    zero that is only the scaling ``p_k / p_{k-1}``, and a run of such
+    steps telescopes to ``p_k / p_{L-1}``.  So a row is left untouched
+    until it is next needed (as a pivot row, with a nonzero multiplier,
+    or as the final entry), and ``level[i]`` records the number of
+    elimination steps its stored entries reflect.  Zero tests read the
+    stored entries directly: pivots are nonzero, so scaling never
+    changes which entries vanish.  Every division is exact because the
+    result is a minor of the input.
+    """
     n = len(m)
+    # below four rows the expansion is cheaper than any bookkeeping
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     sign = 1
-    prev = 1
+    pivots = [1]  # pivots[k] is p_{k-1}, the divisor of step k
+    level = [0] * n
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    level[k], level[i] = level[i], level[k]
                     sign = -sign
                     break
             else:
                 return 0
+        row = m[k]
+        prev = pivots[k]
+        if level[k] != k:
+            stale = pivots[level[k]]
+            row[k:] = [x * prev // stale for x in row[k:]]
+        p = row[k]
+        tail = row[k + 1 :]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            other = m[i]
+            a = other[k]
+            if a:
+                # catch-up scaling and elimination fused into one division;
+                # a row touched for the first time divides by 1, so skip it
+                d = pivots[level[i]]
+                pairs = zip(other[k + 1 :], tail)
+                if d == 1:
+                    other[k + 1 :] = [x * p - a * y for x, y in pairs]
+                else:
+                    other[k + 1 :] = [(x * p - a * y) // d for x, y in pairs]
+                level[i] = k + 1
+        pivots.append(p)
+    last = m[n - 1][n - 1]
+    if level[n - 1] != n - 1:
+        last = last * pivots[n - 1] // pivots[level[n - 1]]
+    return sign * last
 
 
 def det_exact(matrix: IntMatrix) -> int:
@@ -268,13 +298,17 @@ def det_exact(matrix: IntMatrix) -> int:
     return _bareiss([list(row) for row in matrix.rows])
 
 
-def det_exact_rows(rows) -> int:
-    """Determinant of a square array given as nested sequences."""
-    return det_exact(IntMatrix(rows))
-
-
 def permanent(matrix: IntMatrix) -> int:
-    """Exact permanent via Ryser's inclusion-exclusion with Gray-code updates.
+    """Exact permanent via Ryser's inclusion-exclusion formula,
+
+        per(A) = sum over column sets S of (-1)^(n-|S|) prod_i sum_{j in S} a_ij,
+
+    enumerated depth-first.  Columns are decided one at a time, those
+    reaching lowest in the matrix first (the last column first for a
+    wug-snake biadjacency).  Row sums are kept incrementally, and a row's
+    sum joins the running product as soon as all of its nonzero columns
+    are decided; a subtree whose product is zero contributes nothing and
+    is skipped.
 
     Limited to n <= 30; raises TooLargeError beyond that.
     """
@@ -282,24 +316,40 @@ def permanent(matrix: IntMatrix) -> int:
     if n > _PERMANENT_LIMIT:
         raise TooLargeError(f"permanent limited to n <= {_PERMANENT_LIMIT}")
     rows = matrix.rows
+    lowest = [max((i for i in range(n) if rows[i][j]), default=-1) for j in range(n)]
+    order = sorted(range(n), key=lambda j: (lowest[j], j), reverse=True)
+    entries = [[(i, rows[i][j]) for i in range(n) if rows[i][j]] for j in order]
+    finished = [[] for _ in range(n)]  # rows whose sums are final at each depth
+    for i in range(n):
+        depths = [t for t, j in enumerate(order) if rows[i][j]]
+        if not depths:
+            return 0  # a zero row makes every term of the formula vanish
+        finished[depths[-1]].append(i)
     sums = [0] * n
-    total = 0
-    prev_gray = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        changed = gray ^ prev_gray
-        j = changed.bit_length() - 1
-        sgn = 1 if gray & changed else -1
-        for i in range(n):
-            sums[i] += sgn * rows[i][j]
-        prev_gray = gray
-        prod = 1
-        for s in sums:
-            prod *= s
-            if prod == 0:
-                break
-        total += prod if (n - bin(gray).count("1")) % 2 == 0 else -prod
-    return total
+    last = n - 1
+
+    def walk(t: int, prod: int) -> int:
+        # prod carries the sign (-1)^(n-|S|) of the columns taken so far
+        done = finished[t]
+        out = prod
+        for i in done:
+            out *= sums[i]
+        total = 0
+        if out:
+            total = out if t == last else walk(t + 1, out)
+        col = entries[t]
+        for i, a in col:
+            sums[i] += a
+        out = -prod
+        for i in done:
+            out *= sums[i]
+        if out:
+            total += out if t == last else walk(t + 1, out)
+        for i, a in col:
+            sums[i] -= a
+        return total
+
+    return walk(0, -1 if n % 2 else 1)
 
 
 def permanent_bruteforce(matrix: IntMatrix) -> int:

@@ -89,8 +89,32 @@ class WugSnake:
 
     @classmethod
     def from_json(cls, text: str) -> "WugSnake":
+        """Parse ``{"n": n, "weights": [[i, j, w], ...]}``.
+
+        Raises ValueError for invalid JSON, a non-object, a missing or
+        non-integer ``n``, or a weight that is not an integer triple.
+        """
         data = json.loads(text)
-        return cls(data["n"], {(i, j): w for i, j, w in data["weights"]})
+        if not isinstance(data, dict) or "n" not in data or "weights" not in data:
+            raise ValueError('wug-snake JSON must be an object with "n" and "weights"')
+        n, triples = data["n"], data["weights"]
+        if not _is_int(n):
+            raise ValueError(f"size must be an integer, got {n!r}")
+        if not isinstance(triples, list):
+            raise ValueError('"weights" must be a list of [i, j, w] triples')
+        weights = {}
+        for triple in triples:
+            if not (
+                isinstance(triple, list) and len(triple) == 3 and all(map(_is_int, triple))
+            ):
+                raise ValueError(f"weight {triple!r} is not an integer triple [i, j, w]")
+            i, j, x = triple
+            weights[(i, j)] = x
+        return cls(n, weights)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def matching_count_det(w: WugSnake) -> int:
@@ -99,10 +123,16 @@ def matching_count_det(w: WugSnake) -> int:
 
 
 def matching_sequence(w: WugSnake) -> list:
-    """mu(K_1), ..., mu(K_n) via mu_k = sum_i w_{i,k} mu_{i-1}, mu_0 = 1."""
+    """mu(K_1), ..., mu(K_n) via mu_k = sum_i w_{i,k} mu_{i-1}, mu_0 = 1.
+
+    Each column sums over its nonzero weights only: O(n + nnz).
+    """
+    columns = [[] for _ in range(w.n + 1)]
+    for (i, k), x in w.weights.items():
+        columns[k].append((i, x))
     mu = [1]
-    for k in range(1, w.n + 1):
-        mu.append(sum(w.weight(i, k) * mu[i - 1] for i in range(1, k + 1)))
+    for column in columns[1:]:
+        mu.append(sum(x * mu[i - 1] for i, x in column))
     return mu[1:]
 
 

@@ -173,3 +173,19 @@ class TestExitCodes:
     def test_validation_error_not_reduced(self, run):
         code, _, _ = run("cf", "plls", "--matrix", "1,0,0,1")
         assert code == 2
+
+    def test_validation_error_wug_count_json_list(self, run, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([1, 2]))
+        code, _, err = run("wug", "count", "--file", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_validation_error_render_wug_json_list(self, run, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([1, 2]))
+        code, _, err = run(
+            "render", "--kind", "wug", "--in", str(path), "--out", str(tmp_path / "w.svg")
+        )
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err

@@ -5,6 +5,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovnum.errors import MixedRadicandError, TooLargeError
 from markovnum.exactcore import (
@@ -13,8 +16,8 @@ from markovnum.exactcore import (
     det_exact,
     permanent,
     permanent_bruteforce,
-    surd_arith,
 )
+from markovnum.wugsnake import WugSnake, matching_count_det
 
 
 def laplace_det(rows):
@@ -79,11 +82,6 @@ class TestQuadraticSurd:
         below = QuadraticSurd(Fraction(1393, 985), Fraction(-1), 2)
         assert below.sign() < 0
 
-    def test_dispatch(self):
-        one = QuadraticSurd.from_rational(1)
-        assert surd_arith(one, one, "add") == QuadraticSurd.from_rational(2)
-        assert surd_arith(one, one, "compare") == 0
-
 
 class TestDeterminant:
     def test_identity(self):
@@ -137,3 +135,78 @@ class TestMatrix:
         m = IntMatrix.identity(2)
         with pytest.raises(AttributeError):
             m.n = 3
+
+
+SPARSE = st.sampled_from((0, 0, 0, 0, 1, 2, 7))
+SIGNED = st.integers(-9, 9)
+ENTRIES = {
+    "sparse": SPARSE,
+    "dense": st.integers(1, 9),
+    "negative": SIGNED,
+    "singular": SIGNED,
+    "zero-pivot": SPARSE,
+    "hessenberg": SIGNED,
+}
+
+
+@st.composite
+def square_matrices(draw, max_n=7):
+    """Square integer matrices shaped to reach the kernels' sparsity paths.
+
+    "zero-pivot" matrices have a zero diagonal and sparse entries, so
+    elimination must swap in rows whose scaling it deferred; "hessenberg"
+    ones have the wug-snake pattern (one nonzero below the diagonal).
+    """
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(tuple(ENTRIES)))
+    rows = [[draw(ENTRIES[kind]) for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n > 1:
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(n - 1)]
+        rows[-1] = [sum(c * rows[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
+    elif kind == "zero-pivot":
+        for k in range(n):
+            rows[k][k] = 0
+    elif kind == "hessenberg":
+        for i in range(n):
+            for j in range(i - 1):
+                rows[i][j] = 0
+            if i:
+                rows[i][i - 1] = draw(st.sampled_from((-1, 1)))
+    return rows
+
+
+@st.composite
+def wug_snakes(draw, max_n=16):
+    n = draw(st.integers(1, max_n))
+    weight = st.sampled_from((0, 0, 0, 1, 1, 2, 5, -1))
+    return WugSnake(n, {(i, j): draw(weight) for i in range(1, n + 1) for j in range(i, n + 1)})
+
+
+class TestKernelProperties:
+    # a pivot row whose scaling was deferred at step 0 is swapped in at step 1
+    @example([[2, 1, 1, 0], [4, 2, 3, 0], [0, 5, 7, 0], [0, 0, 0, 1]])
+    # swapped rows stand at different scaling levels, which must travel with them
+    @example(
+        [
+            [2, 0, 2, 0, -1, 5],
+            [3, 0, 0, 1, 5, 5],
+            [0, 5, 0, 0, 5, 3],
+            [0, 5, 0, 1, 2, 2],
+            [0, -1, 0, 5, 0, 3],
+            [1, -1, 1, 5, 0, 1],
+        ]
+    )
+    @given(square_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_det_matches_sympy(self, rows):
+        assert det_exact(IntMatrix(rows)) == sympy.Matrix(rows).det()
+
+    @given(square_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_permanent_matches_sympy(self, rows):
+        assert permanent(IntMatrix(rows)) == sympy.Matrix(rows).per()
+
+    @given(wug_snakes())
+    @settings(max_examples=30, deadline=None)
+    def test_permanent_counts_wug_snake_matchings(self, w):
+        assert permanent(w.biadjacency()) == matching_count_det(w)

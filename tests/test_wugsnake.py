@@ -73,6 +73,24 @@ class TestCounts:
         w = eight_snake()
         assert WugSnake.from_json(w.to_json()) == w
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"weights": []}',
+            '{"n": 2}',
+            '{"n": "2", "weights": []}',
+            '{"n": 2, "weights": {}}',
+            '{"n": 2, "weights": [[1, 1]]}',
+            '{"n": 2, "weights": [[1, "2", 1]]}',
+            '{"n": 2, "weights": [7]}',
+            "not json",
+        ],
+    )
+    def test_json_rejects_malformed(self, text):
+        with pytest.raises(ValueError):
+            WugSnake.from_json(text)
+
 
 class TestSequences:
     def test_simple_head_values(self):
