@@ -4,26 +4,20 @@ Every subcommand prints JSON lines to stdout (or writes SVG for
 render).  Big integers are serialized as decimal strings so downstream
 consumers never overflow.  Exit codes: 0 success, 1 usage error,
 2 validation error.
+
+Each handler imports the modules it uses, so a process loads only what
+its command needs: `farey index` imports classicmarkov and exactcore,
+not the whole package.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
-from . import classicmarkov as cm
-from . import lattice, render, semigroup, subtractive
-from .contfrac import PLLS, ContinuedFraction, cf_eval_pq, plls_decompose
 from .errors import MarkovNumError
-from .exactcore import IntMatrix, permanent
-from .wugsnake import (
-    WugSnake,
-    matching_count_bruteforce,
-    matching_count_det,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +62,9 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _matrix_arg(text: str) -> IntMatrix:
+def _matrix_arg(text: str):
+    from .exactcore import IntMatrix
+
     vals = _ints_arg(text)
     n = int(len(vals) ** 0.5)
     if n * n != len(vals):
@@ -76,10 +72,60 @@ def _matrix_arg(text: str) -> IntMatrix:
     return IntMatrix([vals[i * n : (i + 1) * n] for i in range(n)])
 
 
+# --- JSON input loaders: each checks the shape of its input and raises
+# ValueError, which main() reports as a validation error (exit 2).
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_field(text: str, key: str):
+    data = json.loads(text)
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f'expected a JSON object with "{key}"')
+    return data[key]
+
+
+def _load_cells(text: str) -> list:
+    """The cells of ``{"cells": [[x, y], ...]}``."""
+    cells = _json_field(text, "cells")
+    if not isinstance(cells, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(map(_is_int, c)) for c in cells
+    ):
+        raise ValueError('"cells" must be a list of integer pairs [x, y]')
+    return [tuple(c) for c in cells]
+
+
+def _load_word(text: str, letters: int) -> list:
+    """The word of ``{"word": [...]}`` over the letters 0 .. letters - 1."""
+    word = _json_field(text, "word")
+    if not isinstance(word, list) or not all(_is_int(x) and 0 <= x < letters for x in word):
+        raise ValueError(f'"word" must be a list of letters 0..{letters - 1}')
+    return word
+
+
+def _load_generators(text: str, count: int) -> list:
+    """``count`` matrices from a JSON list of integer row lists."""
+    from .exactcore import IntMatrix
+
+    gens = json.loads(text)
+    if not isinstance(gens, list) or len(gens) != count:
+        raise ValueError(f"expected a JSON list of {count} generator matrices")
+    for rows in gens:
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(map(_is_int, row)) for row in rows
+        ):
+            raise ValueError(f"generator {rows!r} is not a list of integer rows")
+    return [IntMatrix(rows) for rows in gens]
+
+
 # --- subcommand handlers ---------------------------------------------------
 
 
 def cmd_markov(args):
+    from . import classicmarkov as cm
+
     if args.action == "tree":
         for node in cm.markov_tree(args.depth):
             _emit({"depth": node.depth, "triple": _s(list(node.triple))})
@@ -89,6 +135,8 @@ def cmd_markov(args):
 
 
 def cmd_farey(args):
+    from . import classicmarkov as cm
+
     if args.action == "tree":
         for node in cm.farey_tree(args.depth):
             _emit(
@@ -105,6 +153,8 @@ def cmd_farey(args):
 
 
 def cmd_cohn(args):
+    from . import classicmarkov as cm
+
     if args.action == "tree":
         for node in cm.cohn_tree(args.depth, args.param):
             _emit(
@@ -128,6 +178,8 @@ def cmd_cohn(args):
 
 
 def cmd_cf(args):
+    from .contfrac import ContinuedFraction, cf_eval_pq, plls_decompose
+
     if args.action == "eval":
         cf = ContinuedFraction.parse(args.cf)
         p, q = cf_eval_pq(cf)
@@ -135,19 +187,24 @@ def cmd_cf(args):
             return _fail("zero denominator")
         _emit({"cf": cf.format(), "p": _s(p), "q": _s(q)})
     else:
+        from .semigroup import algebraic_markov
+
         m = _matrix_arg(args.matrix)
         plls = plls_decompose(m)
         _emit(
             {
                 "matrix": _s([list(r) for r in m.rows]),
                 "plls": _s(list(plls.period)),
-                "markov": _s(semigroup.algebraic_markov(m)),
+                "markov": _s(algebraic_markov(m)),
             }
         )
     return 0
 
 
 def cmd_wug(args):
+    from .exactcore import permanent
+    from .wugsnake import WugSnake, matching_count_bruteforce, matching_count_det
+
     if args.action == "count":
         if not args.file:
             return _fail("count requires --file")
@@ -161,6 +218,8 @@ def cmd_wug(args):
             }
         )
     else:  # fuzz
+        import random
+
         rng = random.Random(args.seed)
         failures = 0
         for _ in range(args.count):
@@ -185,11 +244,13 @@ def cmd_wug(args):
 
 
 def cmd_semigroup(args):
+    from . import semigroup
+
     if args.action == "enum":
         if not args.gens:
             return _fail("enum requires --gens")
         with open(args.gens, encoding="utf-8") as handle:
-            gens = [IntMatrix(rows) for rows in json.load(handle)]
+            gens = _load_generators(handle.read(), 2 if args.scheme == "fraction" else 3)
         if args.scheme == "fraction":
             for node in semigroup.farey_set_2(gens[0], gens[1], args.depth):
                 _emit(
@@ -236,6 +297,9 @@ def cmd_semigroup(args):
 
 
 def cmd_perron(args):
+    from . import semigroup
+    from .contfrac import PLLS
+
     plls = PLLS(tuple(_ints_arg(args.plls)))
     surd = semigroup.perron_minimum(plls)
     _emit(
@@ -251,6 +315,8 @@ def cmd_perron(args):
 
 
 def cmd_subtract(args):
+    from . import subtractive
+
     triple = _ints_arg(args.triple)
     if len(triple) != 3:
         return _fail("expected three comma-separated values")
@@ -272,32 +338,42 @@ def cmd_subtract(args):
 
 
 def cmd_tetris(args):
+    from . import lattice
+
     vector = _ints_arg(args.vector)
     seq = lattice.cubes_for_vector(vector)
     word = lattice.representative(seq)
     _emit(
         {
             "vector": _s(vector),
-            "cells": lattice.cube_count(vector),
+            "cells": len(seq.points),
             "word": lattice.word_display(word),
             "letters": [w + 1 for w in word],
-            "count": _s(lattice.model531_count(vector)),
+            "count": _s(lattice.model531_word_count(word)),
         }
     )
     return 0
 
 
 def cmd_render(args):
+    from . import render
+
     with open(args.infile, encoding="utf-8") as handle:
         text = handle.read()
     if args.kind == "wug":
+        from .wugsnake import WugSnake
+
         svg = render.render_wug(WugSnake.from_json(text))
     elif args.kind == "snake":
-        svg = render.render_cells([tuple(c) for c in json.loads(text)["cells"]])
+        svg = render.render_cells(_load_cells(text))
     elif args.kind == "embedding2":
-        svg = render.render_embedding2(lattice.embed2(json.loads(text)["word"]))
+        from .lattice import embed2
+
+        svg = render.render_embedding2(embed2(_load_word(text, 2)))
     else:
-        svg = render.render_embedding3(lattice.embed3(json.loads(text)["word"]))
+        from .lattice import embed3
+
+        svg = render.render_embedding3(embed3(_load_word(text, 3)))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg)
     return 0
@@ -382,6 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "depth", 0) < 0:
+        return _fail(f"--depth must be nonnegative, got {args.depth}")
     try:
         code = args.func(args)
     except SystemExit:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import IncompatibleArityError, ZeroVectorError
 from .exactcore import IntMatrix
@@ -193,6 +193,21 @@ def _exit_axis(corner: tuple, v: tuple) -> int:
     return best_axis + 1
 
 
+def _crossings(v) -> tuple:
+    """Nonzero entries of v, den = lcm of them, and the sorted distinct
+    numerators over den of every grid-plane crossing parameter i/x in
+    [0, 1] of the segment from 0 to v."""
+    v = tuple(int(x) for x in v)
+    if any(x < 0 for x in v):
+        raise ValueError("coordinates must be nonnegative")
+    v = tuple(x for x in v if x)
+    if not v:
+        raise ZeroVectorError("the zero vector traces no cubes")
+    den = lcm(*v)
+    cuts = sorted({i * (den // x) for x in v for i in range(x + 1)})
+    return v, den, cuts
+
+
 def cubes_for_vector(v) -> SlowSequence:
     """The slowly increasing sequence traced by the segment from 0 to v.
 
@@ -201,20 +216,12 @@ def cubes_for_vector(v) -> SlowSequence:
     steps out of the penultimate cube along the exit axis of the final
     one (chosen by the lexicographically smallest facet at v).
     """
-    v = tuple(int(x) for x in v)
-    if any(x < 0 for x in v):
-        raise ValueError("coordinates must be nonnegative")
-    v = tuple(x for x in v if x)
-    if not v:
-        raise ZeroVectorError("the zero vector traces no cubes")
-    n = len(v)
-    # entry parameters: all grid-plane crossings in (0, 1)
-    cuts = sorted({Fraction(i, x) for x in v for i in range(x + 1)})
-    corners = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2
-        corner = tuple((mid * x).__floor__() for x in v)
-        corners.append(corner)
+    v, den, cuts = _crossings(v)
+    # the corner of the cube crossed between parameters lo/den and hi/den
+    # is floor(x * (lo + hi) / (2 den)) in each coordinate x
+    corners = [
+        tuple((lo + hi) * x // (2 * den) for x in v) for lo, hi in zip(cuts, cuts[1:])
+    ]
     exit_axis = _exit_axis(corners[-1], v)
     if len(corners) == 1:
         points = [corners[0]]
@@ -226,23 +233,22 @@ def cubes_for_vector(v) -> SlowSequence:
 
 
 def cube_count(v) -> int:
-    """Number of cubes the open segment from 0 to v passes through."""
-    v = tuple(int(x) for x in v if int(x))
-    if not v:
-        raise ZeroVectorError("the zero vector traces no cubes")
-    cuts = sorted({Fraction(i, x) for x in v for i in range(x + 1)})
-    return len(cuts) - 1
+    """Number of cubes the open segment from 0 to v passes through.
 
-
-def model531_count(v) -> int:
-    """Matching count of the snake encoded by the cube word of v.
-
-    The representative word indexes the three standard generators; the
-    product over the written word, applied to the head (0, 1), has the
-    reported count as its first window entry.
+    Equals ``len(cubes_for_vector(v).points)`` wherever that is defined.
     """
-    word = representative(cubes_for_vector(v))
+    return len(_crossings(v)[2]) - 1
+
+
+def model531_word_count(word) -> int:
+    """First window entry of the generator product over `word`, applied
+    to the head (0, 1); `word` indexes MODEL531_GENERATORS."""
     product = IntMatrix.identity(2)
     for letter in word:
         product = product * MODEL531_GENERATORS[letter]
     return product[0, 1]
+
+
+def model531_count(v) -> int:
+    """Matching count of the snake encoded by the cube word of v."""
+    return model531_word_count(representative(cubes_for_vector(v)))

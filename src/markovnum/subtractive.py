@@ -10,6 +10,7 @@ rotations and coefficients reconstructs the start exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import InvalidTraceError, StuckError
 from .exactcore import IntMatrix
@@ -31,6 +32,25 @@ def _normalize(t) -> tuple:
     raise AssertionError("unreachable")
 
 
+def _min_remainder_alphas(a: int, b: int, c: int) -> tuple:
+    """Range of alpha that min-remainder scans; it finds the same first
+    minimal leftover as a scan of the whole range 0 .. a // b.
+
+    For c > 0 the leftover (a - alpha*b) mod c depends only on alpha mod
+    P, P = c / gcd(b, c), so 0 .. min(a // b, P) holds every residue
+    class at its smallest admissible alpha (P stands in for 0 when
+    alpha = beta = 0 is excluded).  For c = 0 the leftover a - alpha*b
+    falls strictly with alpha, so only alpha = a // b can win.  The scan
+    is therefore at most min(a // b, P) + 1 steps; it is still long when
+    both a // b and P are huge, for example a ~ 10^15 with b = 1 and c
+    near a / 2.
+    """
+    top = a // b if b else 0
+    if c == 0:
+        return top, top + 1
+    return 0, min(top, c // gcd(b, c)) + 1
+
+
 def _coefficients(a: int, b: int, c: int, strategy: str) -> tuple:
     if b == 0 and c == 0:
         raise StuckError("both subtrahends are zero")
@@ -49,7 +69,7 @@ def _coefficients(a: int, b: int, c: int, strategy: str) -> tuple:
         return alpha, beta
     if strategy == "min-remainder":
         best = None
-        for alpha in range(0, (a // b if b else 0) + 1):
+        for alpha in range(*_min_remainder_alphas(a, b, c)):
             rem = a - alpha * b
             beta = rem // c if c else 0
             leftover = rem - beta * c
@@ -102,7 +122,11 @@ class MCFTrace:
 
 
 def run_mcf(t, strategy: str) -> MCFTrace:
-    """Iterate subtract_step until at most one coordinate is nonzero."""
+    """Iterate subtract_step until at most one coordinate is nonzero.
+
+    A min-remainder step scans at most min(a // b, c / gcd(b, c)) + 1
+    choices of alpha (see _min_remainder_alphas).
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     start = tuple(int(x) for x in t)
@@ -114,10 +138,6 @@ def run_mcf(t, strategy: str) -> MCFTrace:
         state, (alpha, beta), k = subtract_step(state, strategy)
         steps.append(((alpha, beta), k))
     return MCFTrace(start, strategy, tuple(steps), state)
-
-
-def _step_matrix(alpha: int, beta: int) -> IntMatrix:
-    return IntMatrix([[0, 1, 0], [0, 0, 1], [1, -alpha, -beta]])
 
 
 def _step_matrix_inv(alpha: int, beta: int) -> IntMatrix:

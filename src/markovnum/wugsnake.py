@@ -21,7 +21,7 @@ from .errors import (
     TooLargeError,
 )
 from .exactcore import IntMatrix, det_exact
-from .contfrac import CompanionSpec, companion
+from .contfrac import companion
 
 _BRUTEFORCE_LIMIT = 14
 
@@ -250,11 +250,6 @@ def body_for_matrix(a: IntMatrix, decomposition) -> Body:
             "companion product does not equal the matrix"
         )
     return Body(tuple(spec.coeffs for spec in reversed(specs)))
-
-
-def body_for_specs(specs) -> Body:
-    """Body from companion specs in application order (first applied first)."""
-    return Body(tuple(CompanionSpec(tuple(s.coeffs)).coeffs for s in specs))
 
 
 def wug_determinant(head: Head, body: Body) -> int:

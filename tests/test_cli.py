@@ -1,9 +1,14 @@
 """Command-line interface: payloads, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import markovnum
 from markovnum.cli import main
 
 
@@ -189,3 +194,67 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["snake", "embedding2", "embedding3"])
+    @pytest.mark.parametrize(
+        "data", [[1, 2], {"cells": [[0, "a"]]}, {"word": [0, 5]}, {"word": 3}]
+    )
+    def test_validation_error_render_malformed_json(self, run, tmp_path, kind, data):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(
+            "render", "--kind", kind, "--in", str(path), "--out", str(tmp_path / "x.svg")
+        )
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("markov", "numbers", "--depth", "-1"),
+            ("markov", "tree", "--depth", "-1"),
+            ("semigroup", "family", "--depth", "-1"),
+        ],
+    )
+    def test_validation_error_negative_depth(self, run, argv):
+        code, out, err = run(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "scheme, gens",
+        [
+            ("fraction", [[[1, 1], [1, 2]]]),
+            ("pairwise", [[[1, 1], [1, 2]], [[2, 3], [3, 5]]]),
+            ("fraction", [[[1, 1], [1, 2]], [1, 2]]),
+            ("fraction", {"gens": []}),
+        ],
+    )
+    def test_validation_error_semigroup_enum_generators(self, run, tmp_path, scheme, gens):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(gens))
+        code, _, err = run("semigroup", "enum", "--gens", str(path), "--scheme", scheme)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestImports:
+    def test_farey_index_loads_only_its_modules(self):
+        script = (
+            "import json, sys\n"
+            "from markovnum import cli\n"
+            "assert cli.main(['farey', 'index', '--t', '2/3']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('markovnum.'))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(markovnum.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == [
+            "markovnum.classicmarkov",
+            "markovnum.cli",
+            "markovnum.errors",
+            "markovnum.exactcore",
+        ]

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovnum.contfrac import CompanionSpec, companion
 from markovnum.errors import ZeroVectorError
@@ -12,6 +14,7 @@ from markovnum.exactcore import IntMatrix
 from markovnum.lattice import (
     MODEL531_GENERATORS,
     SlowSequence,
+    _exit_axis,
     cube_count,
     cubes_for_vector,
     embed2,
@@ -171,6 +174,55 @@ class TestCubeTraces:
     def test_slow_sequence_validates_steps(self):
         with pytest.raises(ValueError):
             SlowSequence(((0, 0), (1, 1)))
+
+    def test_negative_coordinates(self):
+        with pytest.raises(ValueError):
+            cubes_for_vector((3, -1))
+        with pytest.raises(ValueError):
+            cube_count((3, -1))
+
+    @given(st.lists(st.integers(0, 80), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    @example([6, 4, 3])
+    @example([3, 3])
+    @example([2, 2])
+    @example([0, 5, 0])
+    @example([0, 0])
+    def test_matches_fraction_parameters(self, v):
+        def outcome(f):
+            try:
+                return f(v)
+            except Exception as exc:
+                return type(exc)
+
+        assert outcome(lambda v: cubes_for_vector(v).points) == outcome(_fraction_trace)
+        assert outcome(cube_count) == outcome(_fraction_count)
+
+
+def _fraction_cuts(v) -> tuple:
+    v = tuple(x for x in v if x)
+    if not v:
+        raise ZeroVectorError("the zero vector traces no cubes")
+    return v, sorted({Fraction(i, x) for x in v for i in range(x + 1)})
+
+
+def _fraction_count(v) -> int:
+    """Reference cube count over Fraction crossing parameters."""
+    return len(_fraction_cuts(v)[1]) - 1
+
+
+def _fraction_trace(v) -> tuple:
+    """Reference trace: crossing parameters sorted as Fractions, each
+    cube's corner read at the midpoint of its parameter interval."""
+    v, cuts = _fraction_cuts(v)
+    corners = [
+        tuple(((lo + hi) / 2 * x).__floor__() for x in v) for lo, hi in zip(cuts, cuts[1:])
+    ]
+    if len(corners) == 1:
+        return SlowSequence(tuple(corners)).points
+    last = list(corners[-2])
+    last[_exit_axis(corners[-1], v) - 1] += 1
+    return SlowSequence(tuple(corners[:-1] + [tuple(last)])).points
 
 
 class TestModel531:

@@ -5,11 +5,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovnum.errors import InvalidTraceError, StuckError
 from markovnum.subtractive import (
     MCFTrace,
     STRATEGIES,
+    _coefficients,
     reconstruct,
     run_mcf,
     subtract_step,
@@ -41,6 +44,45 @@ class TestStep:
     def test_stuck(self):
         with pytest.raises(StuckError):
             subtract_step((4, 0, 0), "max-b")
+
+
+def _min_remainder_full_scan(a, b, c):
+    """Reference min-remainder choice: scan every alpha in 0 .. a // b."""
+    best = None
+    for alpha in range(0, (a // b if b else 0) + 1):
+        rem = a - alpha * b
+        beta = rem // c if c else 0
+        if (alpha, beta) != (0, 0) and (best is None or rem - beta * c < best[0]):
+            best = (rem - beta * c, alpha, beta)
+    if best is None:
+        raise StuckError("no admissible coefficients")
+    return best[1], best[2]
+
+
+class TestMinRemainder:
+    @given(st.integers(0, 5000), st.integers(0, 60), st.integers(0, 60))
+    @settings(max_examples=400, deadline=None)
+    @example(7, 5, 3)
+    @example(12, 4, 6)
+    @example(9, 3, 0)
+    @example(5, 0, 7)
+    @example(0, 0, 0)
+    def test_bounded_scan_matches_full_scan(self, a, b, c):
+        def outcome(f):
+            try:
+                return f(a, b, c)
+            except StuckError:
+                return StuckError
+
+        assert outcome(lambda a, b, c: _coefficients(a, b, c, "min-remainder")) == outcome(
+            _min_remainder_full_scan
+        )
+
+    @pytest.mark.parametrize("triple", [(10**15, 7, 5), (10**15, 7, 0)])
+    def test_huge_quotient_returns(self, triple):
+        trace = run_mcf(triple, "min-remainder")
+        assert trace.terminal == gcd(gcd(triple[0], triple[1]), triple[2])
+        assert reconstruct(trace).apply(trace.final) == triple
 
 
 class TestRuns:
