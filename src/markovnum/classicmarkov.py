@@ -2,6 +2,12 @@
 mediants, Christoffel words, domino snake geometry, shift-operator
 matching counts, Cohn matrices, the Fricke trace identity, and the
 quadratic form attached to a Markov triple.
+
+One mediant engine drives the trees and the descents: a breadth-first
+builder and a Stern-Brocot walk, each given a root triple and a rule.
+The Markov tree is the Vieta jump 3xy - z from (1, 5, 2), the Farey
+tree the mediant, the Cohn tree the matrix product and the Cohn word
+the concatenation.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from .errors import (
     NotUnimodularError,
     TooLargeError,
 )
-from .exactcore import IntMatrix, det_exact
+from .exactcore import IntMatrix, det_exact, matrix_product
 
 # Root generators of the mediant recursion on words and matrices.
+MARKOV_ROOT = (1, 5, 2)
 WORD_A = "A"
 WORD_B = "B"
 LETTER_MATRIX = {
@@ -27,29 +34,72 @@ LETTER_MATRIX = {
 }
 
 
+# --- The mediant engine --------------------------------------------------
+
+
+def _mediant_tree(root, rule, depth: int, node) -> list:
+    """The mediant engine: node(triple, depth) for every triple of the
+    tree to the given depth, breadth first.
+
+    The triple (l, m, r) has the children (l, rule(l, m, r), m) and
+    (m, rule(m, r, l), r), so the root sits at 1/2 of the Farey tree
+    and a family of trees is a root and a rule.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    level = [root]
+    out = [node(root, 0)]
+    for d in range(1, depth + 1):
+        level = [
+            child
+            for l, m, r in level
+            for child in ((l, rule(l, m, r), m), (m, rule(m, r, l), r))
+        ]
+        out.extend(node(t, d) for t in level)
+    return out
+
+
+def _mediant_descent(root, rule, p: int, q: int):
+    """The middle entry at p/q of the tree that _mediant_tree(root, rule,
+    ...) builds, found by the Stern-Brocot walk; the ends 0/1 and 1/1
+    give root[0] and root[2]."""
+    t = _check_unit_fraction(p, q)
+    l, m, r = root
+    lo, mid, hi = Fraction(0, 1), Fraction(1, 2), Fraction(1, 1)
+    if t == lo:
+        return l
+    if t == hi:
+        return r
+    while t != mid:
+        if t < mid:
+            hi = mid
+            l, m, r = l, rule(l, m, r), m
+        else:
+            lo = mid
+            l, m, r = m, rule(m, r, l), r
+        mid = mediant(lo, hi)
+    return m
+
+
+def _vieta_jump(x, y, z):
+    return 3 * x * y - z
+
+
+def _product(x, y, _):
+    return x * y
+
+
 @dataclass(frozen=True)
 class TripleNode:
-    """A Markov triple (left, middle, right) with lazy children."""
+    """A Markov triple (left, middle, right) at a tree depth."""
 
     triple: tuple
     depth: int
 
-    def children(self):
-        l, m, r = self.triple
-        return (
-            TripleNode((l, 3 * l * m - r, m), self.depth + 1),
-            TripleNode((m, 3 * m * r - l, r), self.depth + 1),
-        )
-
 
 def markov_tree(depth: int) -> list:
     """All tree nodes to the given depth, breadth first, rooted at (1,5,2)."""
-    level = [TripleNode((1, 5, 2), 0)]
-    out = list(level)
-    for _ in range(depth):
-        level = [child for node in level for child in node.children()]
-        out.extend(level)
-    return out
+    return _mediant_tree(MARKOV_ROOT, _vieta_jump, depth, TripleNode)
 
 
 def markov_numbers(depth: int) -> list:
@@ -82,43 +132,16 @@ class FareyNode:
     fractions: tuple
     depth: int
 
-    def children(self):
-        l, m, r = self.fractions
-        return (
-            FareyNode((l, mediant(l, m), m), self.depth + 1),
-            FareyNode((m, mediant(m, r), r), self.depth + 1),
-        )
-
 
 def farey_tree(depth: int) -> list:
     """Mediant-tree nodes to the given depth, rooted at (0/1, 1/2, 1/1)."""
-    level = [FareyNode((Fraction(0, 1), Fraction(1, 2), Fraction(1, 1)), 0)]
-    out = list(level)
-    for _ in range(depth):
-        level = [child for node in level for child in node.children()]
-        out.extend(level)
-    return out
+    root = (Fraction(0, 1), Fraction(1, 2), Fraction(1, 1))
+    return _mediant_tree(root, lambda x, y, _: mediant(x, y), depth, FareyNode)
 
 
 def frobenius_index(p: int, q: int) -> int:
     """The Markov number sitting at position p/q of the mediant tree."""
-    t = _check_unit_fraction(p, q)
-    fl, fr = Fraction(0, 1), Fraction(1, 1)
-    if t == fl:
-        return 1
-    if t == fr:
-        return 2
-    l, m, r = 1, 5, 2
-    fm = Fraction(1, 2)
-    while t != fm:
-        if t < fm:
-            fr = fm
-            l, m, r = l, 3 * l * m - r, m
-        else:
-            fl = fm
-            l, m, r = m, 3 * m * r - l, r
-        fm = mediant(fl, fr)
-    return m
+    return _mediant_descent(MARKOV_ROOT, _vieta_jump, p, q)
 
 
 def christoffel(p: int, q: int) -> str:
@@ -134,31 +157,14 @@ def christoffel(p: int, q: int) -> str:
 
 def cohn_word(p: int, q: int) -> str:
     """Word built by the mediant recursion W(r + s) = W(r) W(s)."""
-    _check_unit_fraction(p, q)
-    t = Fraction(p, q)
-    if t == 0:
-        return WORD_A
-    if t == 1:
-        return WORD_B
-    fl, fr = Fraction(0, 1), Fraction(1, 1)
-    wl, wr = WORD_A, WORD_B
-    fm, wm = Fraction(1, 2), WORD_A + WORD_B
-    while t != fm:
-        if t < fm:
-            fr, wr = fm, wm
-        else:
-            fl, wl = fm, wm
-        fm, wm = mediant(fl, fr), wl + wr
-    return wm
+    root = (WORD_A, WORD_A + WORD_B, WORD_B)
+    return _mediant_descent(root, lambda x, y, _: x + y, p, q)
 
 
 def mu_domino(p: int, q: int) -> int:
     """Matching count of the domino graph from the word matrix product."""
-    word = christoffel(p, q)
-    m = IntMatrix.identity(2)
-    for letter in word:
-        m = m * LETTER_MATRIX[letter]
-    return m[0, 1]
+    letters = (LETTER_MATRIX[letter] for letter in christoffel(p, q))
+    return matrix_product(IntMatrix.identity(2), letters)[0, 1]
 
 
 # --- Cohn matrices -------------------------------------------------------
@@ -183,44 +189,15 @@ class CohnNode:
     matrices: tuple
     depth: int
 
-    def children(self):
-        l, m, r = self.matrices
-        return (
-            CohnNode((l, l * m, m), self.depth + 1),
-            CohnNode((m, m * r, r), self.depth + 1),
-        )
-
 
 def cohn_tree(depth: int, a: int = 1) -> list:
     """Matrix-triple nodes to the given depth for the parameter a."""
-    level = [CohnNode(cohn_root_matrices(a), 0)]
-    out = list(level)
-    for _ in range(depth):
-        level = [child for node in level for child in node.children()]
-        out.extend(level)
-    return out
+    return _mediant_tree(cohn_root_matrices(a), _product, depth, CohnNode)
 
 
 def cohn_matrix(p: int, q: int, a: int = 1) -> IntMatrix:
     """The matrix at position p/q of the matrix mediant tree."""
-    t = _check_unit_fraction(p, q)
-    left, middle, right = cohn_root_matrices(a)
-    if t == 0:
-        return left
-    if t == 1:
-        return right
-    fl, fr = Fraction(0, 1), Fraction(1, 1)
-    l, m, r = left, middle, right
-    fm = Fraction(1, 2)
-    while t != fm:
-        if t < fm:
-            fr = fm
-            l, m, r = l, l * m, m
-        else:
-            fl = fm
-            l, m, r = m, m * r, r
-        fm = mediant(fl, fr)
-    return m
+    return _mediant_descent(cohn_root_matrices(a), _product, p, q)
 
 
 def fricke_check(a: IntMatrix, b: IntMatrix) -> bool:
@@ -237,24 +214,6 @@ def fricke_check(a: IntMatrix, b: IntMatrix) -> bool:
 
 
 # --- Domino snake geometry and shift-operator count ----------------------
-
-
-def snake_geometry(p: int, q: int) -> set:
-    """Unit squares whose interiors meet the diagonal from 0 to (q, p)."""
-    _check_unit_fraction(p, q)
-    if p == 0:
-        return set()
-    cells = set()
-    # crossing parameters of vertical and horizontal grid lines
-    cuts = sorted(
-        {Fraction(i, q) for i in range(q + 1)}
-        | {Fraction(j, p) for j in range(p + 1)}
-    )
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2
-        x, y = mid * q, mid * p
-        cells.add((x.numerator // x.denominator, y.numerator // y.denominator))
-    return cells
 
 
 def _domino_ops(p: int, q: int) -> list:

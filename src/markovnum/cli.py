@@ -458,8 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "depth", 0) < 0:
-        return _fail(f"--depth must be nonnegative, got {args.depth}")
+    for option in ("depth", "count"):
+        if getattr(args, option, 0) < 0:
+            value = getattr(args, option)
+            return _fail(f"--{option} must be nonnegative, got {value}")
     try:
         code = args.func(args)
     except SystemExit:

@@ -21,7 +21,7 @@ from .errors import (
     NotReducedError,
     ZeroDenominatorError,
 )
-from .exactcore import IntMatrix, det_exact
+from .exactcore import IntMatrix, det_exact, matrix_product
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,9 @@ def cf_eval_pq(cf: ContinuedFraction) -> tuple:
     Computed from the matrix product over the terms, seeded with the
     structural term (0, 1) and applied to the vector (0, 1).
     """
-    m = IntMatrix([[0, 1], [1, 0]])
-    for a, b in cf.terms:
-        m = m * IntMatrix([[0, b], [1, a]])
-    return m.apply((0, 1))
+    seed = IntMatrix([[0, 1], [1, 0]])
+    terms = (IntMatrix([[0, b], [1, a]]) for a, b in cf.terms)
+    return matrix_product(seed, terms).apply((0, 1))
 
 
 def cf_eval(cf: ContinuedFraction) -> Fraction:
@@ -201,10 +200,7 @@ def reduced_decomposition(m: IntMatrix) -> tuple:
             raise NotReducedError("no decomposition with the required parity")
     if any(a < 1 for a in seq):
         raise NotReducedError("decomposition requires positive coefficients")
-    check = IntMatrix.identity(2)
-    for a in seq:
-        check = check * companion2(a)
-    if check != m:
+    if matrix_product(IntMatrix.identity(2), map(companion2, seq)) != m:
         raise NotReducedError("reconstruction does not reproduce the matrix")
     return tuple(seq)
 
@@ -252,10 +248,9 @@ class RecurrenceSystem:
 
     def matrix(self) -> IntMatrix:
         """The product of the companion matrices (rightmost applied first)."""
-        out = IntMatrix.identity(self.arity)
-        for spec in self.steps:
-            out = out * companion(spec)
-        return out
+        return matrix_product(
+            IntMatrix.identity(self.arity), map(companion, self.steps)
+        )
 
 
 def recurrence_system(ms) -> RecurrenceSystem:

@@ -22,7 +22,8 @@ class NotReducedError(MarkovNumError):
 
 
 class ArityMismatchError(MarkovNumError):
-    """Companion specs of different arity mixed in one recurrence system."""
+    """Arities disagree: companion specs mixed in one recurrence system,
+    or a snake body column deeper than its head or window."""
 
 
 class TooLargeError(MarkovNumError):
@@ -43,10 +44,6 @@ class NoResidueError(MarkovNumError):
 
 class DecompositionMismatchError(MarkovNumError):
     """A claimed companion decomposition does not multiply to the matrix."""
-
-
-class IncompatibleArityError(MarkovNumError):
-    """A snake body cannot be attached at the requested head length."""
 
 
 class EmptyPeriodError(MarkovNumError):

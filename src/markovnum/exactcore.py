@@ -229,6 +229,14 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(x * d for x in row) for row in adj))
 
 
+def matrix_product(start: IntMatrix, factors) -> IntMatrix:
+    """start * f_1 * f_2 * ..., multiplied left to right, one product
+    per factor."""
+    for factor in factors:
+        start = start * factor
+    return start
+
+
 def _bareiss(m: list[list[int]]) -> int:
     """Fraction-free Bareiss elimination; mutates its argument.
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import IncompatibleArityError, ZeroVectorError
-from .exactcore import IntMatrix
+from .errors import ArityMismatchError, ZeroVectorError
+from .exactcore import IntMatrix, matrix_product
 from .wugsnake import Body
 
 # Cell-step templates of the standard 2- and 3-generator embeddings.
@@ -35,7 +35,7 @@ MODEL531_GENERATORS = (
 
 def _apply_column(window: tuple, col: tuple) -> tuple:
     if len(col) > len(window):
-        raise IncompatibleArityError("column deeper than the window")
+        raise ArityMismatchError("column deeper than the window")
     new = sum(a * window[-t] for t, a in enumerate(col, start=1))
     return window[1:] + (new,)
 
@@ -243,10 +243,8 @@ def cube_count(v) -> int:
 def model531_word_count(word) -> int:
     """First window entry of the generator product over `word`, applied
     to the head (0, 1); `word` indexes MODEL531_GENERATORS."""
-    product = IntMatrix.identity(2)
-    for letter in word:
-        product = product * MODEL531_GENERATORS[letter]
-    return product[0, 1]
+    letters = (MODEL531_GENERATORS[letter] for letter in word)
+    return matrix_product(IntMatrix.identity(2), letters)[0, 1]
 
 
 def model531_count(v) -> int:

@@ -18,16 +18,9 @@ from .errors import (
     EmptyPeriodError,
     NotReducedError,
 )
-from .exactcore import IntMatrix, QuadraticSurd, det_exact
+from .classicmarkov import _mediant_tree, mediant
+from .exactcore import IntMatrix, QuadraticSurd, det_exact, matrix_product
 from .contfrac import PLLS, companion2, plls_decompose
-
-
-def word_element(word, gens) -> IntMatrix:
-    """Matrix product of the generators named by the word, left to right."""
-    out = IntMatrix.identity(gens[0].n)
-    for i in word:
-        out = out * gens[i]
-    return out
 
 
 @dataclass(frozen=True)
@@ -52,25 +45,24 @@ def farey_set_2(a: IntMatrix, b: IntMatrix, depth: int, order: str = "reversed")
     if order not in ("reversed", "forward"):
         raise ValueError("order must be 'reversed' or 'forward'")
     gens = (a, b)
-    left = FareyNode2(Fraction(0, 1), (0,), a, 0)
-    right = FareyNode2(Fraction(1, 1), (1,), b, 0)
-    nodes = [left, right]
-    frontier = [(left, right)]
-    for level in range(1, depth + 1):
-        new_frontier = []
-        for lo, hi in frontier:
-            coord = Fraction(
-                lo.coordinate.numerator + hi.coordinate.numerator,
-                lo.coordinate.denominator + hi.coordinate.denominator,
-            )
-            if order == "reversed":
-                word = hi.word + lo.word
-            else:
-                word = lo.word + hi.word
-            mid = FareyNode2(coord, word, word_element(word, gens), level)
-            nodes.append(mid)
-            new_frontier.extend(((lo, mid), (mid, hi)))
-        frontier = new_frontier
+    identity = IntMatrix.identity(a.n)
+
+    def combine(x, y, _):
+        # (coordinate, word) of the mediant of x and y, x on the left
+        word = y[1] + x[1] if order == "reversed" else x[1] + y[1]
+        return (mediant(x[0], y[0]), word)
+
+    def node(triple, level):
+        coordinate, word = triple[1]
+        element = matrix_product(identity, (gens[i] for i in word))
+        return FareyNode2(coordinate, word, element, level + 1)
+
+    left, right = (Fraction(0, 1), (0,)), (Fraction(1, 1), (1,))
+    nodes = [FareyNode2(*left, a, 0), FareyNode2(*right, b, 0)]
+    if depth:
+        # the builder's root is the first mediant, one level down
+        root = (left, combine(left, right, None), right)
+        nodes += _mediant_tree(root, combine, depth - 1, node)
     return sorted(nodes, key=lambda n: (n.depth, n.coordinate))
 
 
@@ -86,13 +78,9 @@ class FareyNode3:
 
 
 def _letter_counts(word, n_gens: int = 3) -> tuple:
-    counts = [0] * n_gens
-    for i in word:
-        counts[i] += 1
-    g = 0
-    for c in counts:
-        g = gcd(g, c)
-    return tuple(c // (g or 1) for c in counts)
+    counts = [word.count(i) for i in range(n_gens)]
+    g = gcd(*counts) or 1
+    return tuple(c // g for c in counts)
 
 
 def farey_set_3(a, b, c, scheme: str, depth: int, order: str = "reversed"):
@@ -104,6 +92,8 @@ def farey_set_3(a, b, c, scheme: str, depth: int, order: str = "reversed"):
     Vertex sums combine words reversed by default (the matrix of u + v
     is F(v)F(u)); order="forward" flips that.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     scheme = scheme.lower()
     if scheme not in ("pairwise", "simultaneous", "barycentric"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -112,11 +102,7 @@ def farey_set_3(a, b, c, scheme: str, depth: int, order: str = "reversed"):
     gens = (a, b, c)
 
     def vertex_sum(*words):
-        parts = words if order == "forward" else tuple(reversed(words))
-        out = ()
-        for w in parts:
-            out += w
-        return out
+        return sum(words if order == "forward" else reversed(words), ())
 
     def subdivide(tri):
         u, v, w = tri
@@ -138,22 +124,23 @@ def farey_set_3(a, b, c, scheme: str, depth: int, order: str = "reversed"):
         ]
 
     triangles = [((0,), (1,), (2,))]
-    seen = {}
-    level_of = {(0,): 0, (1,): 0, (2,): 0}
-    for word in level_of:
-        seen[word] = level_of[word]
+    seen = {(0,): 0, (1,): 0, (2,): 0}
     for level in range(1, depth + 1):
         next_triangles = []
         for tri in triangles:
             for child in subdivide(tri):
                 next_triangles.append(child)
                 for word in child:
-                    if word not in seen:
-                        seen[word] = level
+                    seen.setdefault(word, level)
         triangles = next_triangles
+    identity = IntMatrix.identity(a.n)
     nodes = [
         FareyNode3(
-            _letter_counts(word), word, word_element(word, gens), scheme, lvl
+            _letter_counts(word),
+            word,
+            matrix_product(identity, (gens[i] for i in word)),
+            scheme,
+            lvl,
         )
         for word, lvl in seen.items()
     ]
@@ -365,7 +352,5 @@ def markov_from_plls(seq) -> int:
     that is the lower-left entry of the product over the sequence as
     given.
     """
-    out = IntMatrix.identity(2)
-    for x in seq:
-        out = out * companion2(int(x))
-    return out[1, 0]
+    factors = (companion2(int(x)) for x in seq)
+    return matrix_product(IntMatrix.identity(2), factors)[1, 0]

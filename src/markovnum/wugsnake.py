@@ -16,11 +16,11 @@ import json
 from dataclasses import dataclass
 
 from .errors import (
+    ArityMismatchError,
     DecompositionMismatchError,
-    IncompatibleArityError,
     TooLargeError,
 )
-from .exactcore import IntMatrix, det_exact
+from .exactcore import IntMatrix, det_exact, matrix_product
 from .contfrac import companion
 
 _BRUTEFORCE_LIMIT = 14
@@ -221,7 +221,7 @@ def attach_body(w: WugSnake, body: Body, copies: int = 1) -> WugSnake:
         for col in body.columns:
             n += 1
             if len(col) > n - 1:
-                raise IncompatibleArityError(
+                raise ArityMismatchError(
                     "column deeper than the graph at attachment time"
                 )
             for t, a in enumerate(col, start=1):
@@ -242,10 +242,7 @@ def body_for_matrix(a: IntMatrix, decomposition) -> Body:
     applied first; their matrix product must equal a.
     """
     specs = list(decomposition)
-    product = IntMatrix.identity(a.n)
-    for spec in specs:
-        product = product * companion(spec)
-    if product != a:
+    if matrix_product(IntMatrix.identity(a.n), map(companion, specs)) != a:
         raise DecompositionMismatchError(
             "companion product does not equal the matrix"
         )

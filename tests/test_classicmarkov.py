@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from markovnum.classicmarkov import (
+    LETTER_MATRIX,
     christoffel,
     cohn_matrix,
     cohn_root_matrices,
@@ -23,10 +24,10 @@ from markovnum.classicmarkov import (
     markov_tree,
     mediant,
     mu_domino,
-    snake_geometry,
 )
 from markovnum.errors import NotCoprimeError, NotUnimodularError
 from markovnum.exactcore import IntMatrix, det_exact
+from markovnum.semigroup import farey_set_2, farey_set_3
 from fractions import Fraction
 
 PREFIX = [1, 2, 5, 13, 29, 34, 89, 169, 194, 233, 433, 610, 985, 1325, 1597]
@@ -46,8 +47,7 @@ class TestTrees:
             assert t in triples
 
     def test_left_child_of_root(self):
-        root = markov_tree(0)[0]
-        assert root.children()[0].triple == (1, 13, 5)
+        assert markov_tree(1)[1].triple == (1, 13, 5)
 
     def test_equation_holds_everywhere(self):
         for node in markov_tree(6):
@@ -76,6 +76,40 @@ class TestTrees:
     def test_frobenius_rejects_noncoprime(self):
         with pytest.raises(NotCoprimeError):
             frobenius_index(2, 4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            markov_tree,
+            farey_tree,
+            cohn_tree,
+            lambda d: farey_set_2(IntMatrix.identity(2), IntMatrix.identity(2), d),
+            lambda d: farey_set_3(*[IntMatrix.identity(2)] * 3, "pairwise", d),
+        ],
+        ids=["markov_tree", "farey_tree", "cohn_tree", "farey_set_2", "farey_set_3"],
+    )
+    @pytest.mark.parametrize("depth", [-1, -4])
+    def test_negative_depth_rejected(self, build, depth):
+        with pytest.raises(ValueError):
+            build(depth)
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_trees_agree_with_descents(self, depth):
+        # the word tree: forward words over the Cohn roots A, B of a = 1
+        a, b = LETTER_MATRIX["A"], LETTER_MATRIX["B"]
+        words = {
+            n.coordinate: n
+            for n in farey_set_2(a, b, depth + 1, order="forward")
+        }
+        cohn = {x: cohn_tree(depth, x) for x in (-2, 0, 1, 3)}
+        for k, node in enumerate(farey_tree(depth)):
+            p, q = node.fractions[1].numerator, node.fractions[1].denominator
+            assert markov_tree(depth)[k].triple[1] == frobenius_index(p, q)
+            for x, tree in cohn.items():
+                assert tree[k].matrices[1] == cohn_matrix(p, q, x)
+            word = words[node.fractions[1]]
+            assert "".join("AB"[i] for i in word.word) == cohn_word(p, q)
+            assert word.element == cohn_matrix(p, q)
 
 
 class TestWords:
@@ -116,11 +150,6 @@ class TestDomino:
     def test_bruteforce_counts(self):
         for p, q in coprime_fractions(5):
             assert domino_mu_bruteforce(p, q) == frobenius_index(p, q)
-
-    def test_snake_geometry_cell_count(self):
-        assert len(snake_geometry(2, 3)) == 4
-        for p, q in coprime_fractions(7):
-            assert len(snake_geometry(p, q)) == max(p + q - 1, 0)
 
     def test_domino_cells_connected(self):
         cells = domino_geometry(2, 3)

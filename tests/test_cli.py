@@ -215,6 +215,7 @@ class TestExitCodes:
             ("markov", "numbers", "--depth", "-1"),
             ("markov", "tree", "--depth", "-1"),
             ("semigroup", "family", "--depth", "-1"),
+            ("wug", "fuzz", "--count", "-1"),
         ],
     )
     def test_validation_error_negative_depth(self, run, argv):

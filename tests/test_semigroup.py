@@ -7,7 +7,7 @@ import pytest
 
 from markovnum.contfrac import PLLS, companion2, plls_decompose
 from markovnum.errors import DimensionMismatchError
-from markovnum.exactcore import IntMatrix, QuadraticSurd, det_exact
+from markovnum.exactcore import IntMatrix, QuadraticSurd, det_exact, matrix_product
 from markovnum.semigroup import (
     aa_bb_family,
     aa_bb_generators,
@@ -20,7 +20,6 @@ from markovnum.semigroup import (
     md_form,
     md_form_eval,
     perron_minimum,
-    word_element,
 )
 
 M1 = IntMatrix([[0, 1], [1, 1]]) ** 2
@@ -59,7 +58,8 @@ class TestFareySet2:
     def test_words_match_elements(self):
         gens = (M1, M2)
         for node in farey_set_2(M1, M2, 3):
-            assert word_element(node.word, gens) == node.element
+            letters = (gens[i] for i in node.word)
+            assert matrix_product(IntMatrix.identity(2), letters) == node.element
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
