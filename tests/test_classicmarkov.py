@@ -101,10 +101,11 @@ class TestTrees:
             n.coordinate: n
             for n in farey_set_2(a, b, depth + 1, order="forward")
         }
+        markov = markov_tree(depth)
         cohn = {x: cohn_tree(depth, x) for x in (-2, 0, 1, 3)}
         for k, node in enumerate(farey_tree(depth)):
             p, q = node.fractions[1].numerator, node.fractions[1].denominator
-            assert markov_tree(depth)[k].triple[1] == frobenius_index(p, q)
+            assert markov[k].triple[1] == frobenius_index(p, q)
             for x, tree in cohn.items():
                 assert tree[k].matrices[1] == cohn_matrix(p, q, x)
             word = words[node.fractions[1]]
