@@ -7,12 +7,12 @@ One mediant engine drives the trees and the descents: a breadth-first
 builder and a Stern-Brocot walk, each given a root triple and a rule.
 The Markov tree is the Vieta jump 3xy - z from (1, 5, 2), the Farey
 tree the mediant, the Cohn tree the matrix product and the Cohn word
-the concatenation.
+the concatenation.  The builder is budgeted by MAX_TREE_DEPTH: a tree
+doubles its nodes with each level and its entries grow with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -22,7 +22,10 @@ from .errors import (
     NotUnimodularError,
     TooLargeError,
 )
-from .exactcore import IntMatrix, det_exact, matrix_product
+from .exactcore import IntMatrix, Record, det_exact, matrix_product
+
+MAX_TREE_DEPTH = 16
+"""Deepest level below its root that the mediant tree builder reaches."""
 
 # Root generators of the mediant recursion on words and matrices.
 MARKOV_ROOT = (1, 5, 2)
@@ -47,6 +50,8 @@ def _mediant_tree(root, rule, depth: int, node) -> list:
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if depth > MAX_TREE_DEPTH:
+        raise TooLargeError(f"tree depth {depth} exceeds the limit {MAX_TREE_DEPTH}")
     level = [root]
     out = [node(root, 0)]
     for d in range(1, depth + 1):
@@ -89,12 +94,14 @@ def _product(x, y, _):
     return x * y
 
 
-@dataclass(frozen=True)
-class TripleNode:
+class TripleNode(Record):
     """A Markov triple (left, middle, right) at a tree depth."""
 
-    triple: tuple
-    depth: int
+    __slots__ = ("triple", "depth")
+
+    def __init__(self, triple: tuple, depth: int):
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "depth", depth)
 
 
 def markov_tree(depth: int) -> list:
@@ -125,12 +132,14 @@ def _check_unit_fraction(p: int, q: int) -> Fraction:
     return Fraction(p, q)
 
 
-@dataclass(frozen=True)
-class FareyNode:
+class FareyNode(Record):
     """A Farey-tree node: fractions (left, middle, right)."""
 
-    fractions: tuple
-    depth: int
+    __slots__ = ("fractions", "depth")
+
+    def __init__(self, fractions: tuple, depth: int):
+        object.__setattr__(self, "fractions", fractions)
+        object.__setattr__(self, "depth", depth)
 
 
 def farey_tree(depth: int) -> list:
@@ -182,12 +191,14 @@ def cohn_root_matrices(a: int) -> tuple:
     return (left, middle, right)
 
 
-@dataclass(frozen=True)
-class CohnNode:
+class CohnNode(Record):
     """A triple (L, L*R, R) of matrices at a mediant-tree position."""
 
-    matrices: tuple
-    depth: int
+    __slots__ = ("matrices", "depth")
+
+    def __init__(self, matrices: tuple, depth: int):
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "depth", depth)
 
 
 def cohn_tree(depth: int, a: int = 1) -> list:

@@ -12,7 +12,6 @@ The n-dimensional companion matrix M_{a_1,...,a_n} advances the window
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -21,17 +20,16 @@ from .errors import (
     NotReducedError,
     ZeroDenominatorError,
 )
-from .exactcore import IntMatrix, det_exact, matrix_product
+from .exactcore import IntMatrix, Record, det_exact, matrix_product
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Record):
     """Terms (a_i, b_i); regular continued fractions have b_i = 1."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple((int(a), int(b)) for a, b in self.terms)
+    def __init__(self, terms: tuple):
+        terms = tuple((int(a), int(b)) for a, b in terms)
         if not terms:
             raise ValueError("continued fraction needs at least one term")
         object.__setattr__(self, "terms", terms)
@@ -63,14 +61,13 @@ class ContinuedFraction:
         return f"[{coeffs[0]}; " + " : ".join(str(a) for a in coeffs[1:]) + "]"
 
 
-@dataclass(frozen=True)
-class CompanionSpec:
+class CompanionSpec(Record):
     """Recurrence coefficients (a_1, ..., a_n)."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(int(a) for a in self.coeffs)
+    def __init__(self, coeffs: tuple):
+        coeffs = tuple(int(a) for a in coeffs)
         if not coeffs:
             raise ValueError("companion spec needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -80,14 +77,13 @@ class CompanionSpec:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class PLLS:
+class PLLS(Record):
     """Period of companion coefficients of a reduced matrix (reversed)."""
 
-    period: tuple
+    __slots__ = ("period",)
 
-    def __post_init__(self):
-        period = tuple(int(a) for a in self.period)
+    def __init__(self, period: tuple):
+        period = tuple(int(a) for a in period)
         if not period or any(a < 1 for a in period):
             raise ValueError("period must be nonempty with positive entries")
         object.__setattr__(self, "period", period)
@@ -210,14 +206,13 @@ def plls_decompose(m: IntMatrix) -> PLLS:
     return PLLS(tuple(reversed(reduced_decomposition(m))))
 
 
-@dataclass(frozen=True)
-class RecurrenceSystem:
+class RecurrenceSystem(Record):
     """Ordered companion specs; the rightmost spec is applied first."""
 
-    steps: tuple
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
+    def __init__(self, steps: tuple):
+        steps = tuple(steps)
         if not steps:
             raise ValueError("recurrence system needs at least one spec")
         k = steps[0].arity

@@ -60,3 +60,8 @@ class InvalidTraceError(MarkovNumError):
 
 class ZeroVectorError(MarkovNumError):
     """The zero vector has no associated cube sequence."""
+
+
+class NotUnitStepError(MarkovNumError, ValueError):
+    """Neighbouring points of a cube sequence differ by more than one
+    standard basis vector."""

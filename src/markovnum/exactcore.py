@@ -9,7 +9,6 @@ square-free radicand.  No floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, MixedRadicandError, TooLargeError
@@ -30,21 +29,55 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return f, r
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class Record:
+    """Base of the immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``.  Records compare and hash
+    by their fields, and only with records of the same class; the repr
+    reads ``Name(field=value, ...)``; assignment raises AttributeError;
+    pickling and copying rebuild the record through its constructor.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class QuadraticSurd(Record):
     """Exact value a + b*sqrt(d) with rational a, b and square-free d >= 0.
 
     Canonical form: b == 0 implies d == 0, and d is square-free.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self):
-        a = Fraction(self.a)
-        b = Fraction(self.b)
-        f, r = _squarefree_split(self.d)
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        a = Fraction(a)
+        b = Fraction(b)
+        f, r = _squarefree_split(d)
         b *= f
         if b == 0 or r in (0, 1):
             a, b, r = a + (b if r == 1 else 0), Fraction(0), 0
@@ -168,6 +201,9 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({list(map(list, self.rows))})"
+
+    def __reduce__(self):
+        return IntMatrix, (self.rows,)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:

@@ -2,18 +2,26 @@
 spatial embeddings with their tangent directions, slowly increasing
 cube sequences along a segment, and the representative words they
 encode.
+
+A cube word is multiplied run by run: each run of equal letters is one
+matrix power, so a word of L letters in R runs costs about R log L
+products instead of L.  Tracing is budgeted by the sum of the vector's
+nonzero entries, which bounds the number of cubes the segment crosses:
+beyond MAX_CUBE_SUM it raises TooLargeError before any work.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ArityMismatchError, ZeroVectorError
-from .exactcore import IntMatrix, matrix_product
+from .errors import ArityMismatchError, NotUnitStepError, TooLargeError, ZeroVectorError
+from .exactcore import IntMatrix, Record, matrix_product
 from .wugsnake import Body
+
+MAX_CUBE_SUM = 300_000
+"""Largest sum of nonzero entries that cubes_for_vector and cube_count trace."""
 
 # Cell-step templates of the standard 2- and 3-generator embeddings.
 EMBED2_STEPS = (
@@ -58,12 +66,14 @@ def wug_sum(w1, w2):
     return (head1, body1 + body2)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Ordered unit cells of an embedded snake; first cell is the head."""
 
-    dimension: int
-    cells: tuple
+    __slots__ = ("dimension", "cells")
+
+    def __init__(self, dimension: int, cells: tuple):
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "cells", cells)
 
     @property
     def head_cell(self) -> tuple:
@@ -115,21 +125,28 @@ def tangent_fraction(e: Embedding) -> Fraction:
 # --- Slowly increasing sequences and cube traces ---------------------------
 
 
-@dataclass(frozen=True)
-class SlowSequence:
+class SlowSequence(Record):
     """Lattice points with unit basis-vector steps between neighbors."""
 
-    points: tuple
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        points = tuple(tuple(int(x) for x in p) for p in self.points)
+    def __init__(self, points: tuple):
+        points = tuple(tuple(int(x) for x in p) for p in points)
         if not points:
             raise ValueError("sequence needs at least one point")
         for a, b in zip(points, points[1:]):
             diff = tuple(y - x for x, y in zip(a, b))
             if sorted(diff) != [0] * (len(diff) - 1) + [1]:
-                raise ValueError("steps must be standard basis vectors")
+                raise NotUnitStepError("steps must be standard basis vectors")
         object.__setattr__(self, "points", points)
+
+    @classmethod
+    def _trusted(cls, points: tuple) -> "SlowSequence":
+        """A sequence of integer points whose steps are known to be unit
+        steps, built without the per-step check."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "points", points)
+        return seq
 
     @property
     def dimension(self) -> int:
@@ -196,13 +213,15 @@ def _exit_axis(corner: tuple, v: tuple) -> int:
 def _crossings(v) -> tuple:
     """Nonzero entries of v, den = lcm of them, and the sorted distinct
     numerators over den of every grid-plane crossing parameter i/x in
-    [0, 1] of the segment from 0 to v."""
+    [0, 1] of the segment from 0 to v.  The budget check comes first."""
     v = tuple(int(x) for x in v)
     if any(x < 0 for x in v):
         raise ValueError("coordinates must be nonnegative")
     v = tuple(x for x in v if x)
     if not v:
         raise ZeroVectorError("the zero vector traces no cubes")
+    if sum(v) > MAX_CUBE_SUM:
+        raise TooLargeError(f"entries summing to {sum(v)} exceed the limit {MAX_CUBE_SUM}")
     den = lcm(*v)
     cuts = sorted({i * (den // x) for x in v for i in range(x + 1)})
     return v, den, cuts
@@ -215,8 +234,22 @@ def cubes_for_vector(v) -> SlowSequence:
     entry corners of the crossed cubes, except that the last point
     steps out of the penultimate cube along the exit axis of the final
     one (chosen by the lexicographically smallest facet at v).
+
+    Raises NotUnitStepError when grid planes meet at an interior
+    crossing other than the last one: the segment then steps along
+    several axes at once.  The last crossing is exempt because the last
+    point steps out of the penultimate cube instead.
     """
     v, den, cuts = _crossings(v)
+    if len(cuts) > 3:
+        # coincident crossings: plane crossings counted with multiplicity
+        # less the distinct interior ones; all must sit at cuts[-2]
+        coincident = sum(v) - len(v) - (len(cuts) - 2)
+        at_last = sum(1 for x in v if cuts[-2] % (den // x) == 0)
+        if coincident != at_last - 1:
+            raise NotUnitStepError(
+                "grid planes meet inside the segment, so its steps are not unit steps"
+            )
     # the corner of the cube crossed between parameters lo/den and hi/den
     # is floor(x * (lo + hi) / (2 den)) in each coordinate x
     corners = [
@@ -229,22 +262,31 @@ def cubes_for_vector(v) -> SlowSequence:
         last = list(corners[-2])
         last[exit_axis - 1] += 1
         points = corners[:-1] + [tuple(last)]
-    return SlowSequence(tuple(points))
+    return SlowSequence._trusted(tuple(points))
 
 
 def cube_count(v) -> int:
     """Number of cubes the open segment from 0 to v passes through.
 
-    Equals ``len(cubes_for_vector(v).points)`` wherever that is defined.
+    Equals ``len(cubes_for_vector(v).points)`` wherever that is defined;
+    both raise TooLargeError when the entries sum past MAX_CUBE_SUM.
     """
     return len(_crossings(v)[2]) - 1
 
 
 def model531_word_count(word) -> int:
     """First window entry of the generator product over `word`, applied
-    to the head (0, 1); `word` indexes MODEL531_GENERATORS."""
-    letters = (MODEL531_GENERATORS[letter] for letter in word)
-    return matrix_product(IntMatrix.identity(2), letters)[0, 1]
+    to the head (0, 1); `word` indexes MODEL531_GENERATORS.
+
+    Each run of equal letters (the groups of word_display) is raised to
+    its length as one matrix power, and the runs are multiplied left to
+    right.
+    """
+    runs = (
+        MODEL531_GENERATORS[letter] ** sum(1 for _ in group)
+        for letter, group in itertools.groupby(word)
+    )
+    return matrix_product(IntMatrix.identity(2), runs)[0, 1]
 
 
 def model531_count(v) -> int:

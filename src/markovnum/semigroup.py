@@ -9,7 +9,6 @@ first, so the corresponding matrix product reads left to right.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -19,18 +18,20 @@ from .errors import (
     NotReducedError,
 )
 from .classicmarkov import _mediant_tree, mediant
-from .exactcore import IntMatrix, QuadraticSurd, det_exact, matrix_product
+from .exactcore import IntMatrix, QuadraticSurd, Record, det_exact, matrix_product
 from .contfrac import PLLS, companion2, plls_decompose
 
 
-@dataclass(frozen=True)
-class FareyNode2:
+class FareyNode2(Record):
     """A 2-generator node: fraction coordinate, word, matrix, depth."""
 
-    coordinate: Fraction
-    word: tuple
-    element: IntMatrix
-    depth: int
+    __slots__ = ("coordinate", "word", "element", "depth")
+
+    def __init__(self, coordinate: Fraction, word: tuple, element: IntMatrix, depth: int):
+        object.__setattr__(self, "coordinate", coordinate)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "depth", depth)
 
 
 def farey_set_2(a: IntMatrix, b: IntMatrix, depth: int, order: str = "reversed"):
@@ -66,15 +67,19 @@ def farey_set_2(a: IntMatrix, b: IntMatrix, depth: int, order: str = "reversed")
     return sorted(nodes, key=lambda n: (n.depth, n.coordinate))
 
 
-@dataclass(frozen=True)
-class FareyNode3:
+class FareyNode3(Record):
     """A 3-generator node: projective coordinate, word, matrix, scheme."""
 
-    coordinate: tuple
-    word: tuple
-    element: IntMatrix
-    scheme: str
-    depth: int
+    __slots__ = ("coordinate", "word", "element", "scheme", "depth")
+
+    def __init__(
+        self, coordinate: tuple, word: tuple, element: IntMatrix, scheme: str, depth: int
+    ):
+        object.__setattr__(self, "coordinate", coordinate)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "depth", depth)
 
 
 def _letter_counts(word, n_gens: int = 3) -> tuple:
@@ -150,12 +155,14 @@ def farey_set_3(a, b, c, scheme: str, depth: int, order: str = "reversed"):
 # --- Homogeneous determinant forms ---------------------------------------
 
 
-@dataclass(frozen=True)
-class MDForm:
+class MDForm(Record):
     """Degree-n form in n variables, as exponent-vector -> coefficient."""
 
-    n: int
-    coeffs: tuple  # sorted ((exponents, coefficient), ...)
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)  # sorted ((exponents, coefficient), ...)
 
     def coefficient(self, exponents) -> int:
         return dict(self.coeffs).get(tuple(exponents), 0)

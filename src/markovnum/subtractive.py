@@ -9,11 +9,10 @@ rotations and coefficients reconstructs the start exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidTraceError, StuckError
-from .exactcore import IntMatrix
+from .exactcore import IntMatrix, Record
 
 STRATEGIES = ("max-b", "max-c", "b-then-c", "min-remainder")
 
@@ -90,14 +89,16 @@ def subtract_step(t, strategy: str):
     return (b, c, a - alpha * b - beta * c), (alpha, beta), k
 
 
-@dataclass(frozen=True)
-class MCFTrace:
+class MCFTrace(Record):
     """Record of a full run: start, per-step data, and the final triple."""
 
-    start: tuple
-    strategy: str
-    steps: tuple  # ((alpha, beta), rotations) per step
-    final: tuple
+    __slots__ = ("start", "strategy", "steps", "final")
+
+    def __init__(self, start: tuple, strategy: str, steps: tuple, final: tuple):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "steps", steps)  # ((alpha, beta), rotations) per step
+        object.__setattr__(self, "final", final)
 
     @property
     def terminal(self) -> int:

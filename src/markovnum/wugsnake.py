@@ -13,14 +13,13 @@ biadjacency and the determinant of the continuant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import (
     ArityMismatchError,
     DecompositionMismatchError,
     TooLargeError,
 )
-from .exactcore import IntMatrix, det_exact, matrix_product
+from .exactcore import IntMatrix, Record, det_exact, matrix_product
 from .contfrac import companion
 
 _BRUTEFORCE_LIMIT = 14
@@ -165,14 +164,13 @@ def matching_count_bruteforce(w: WugSnake) -> int:
     return walk(0, 0)
 
 
-@dataclass(frozen=True)
-class Head:
+class Head(Record):
     """A prescribed tail (the last k matching-sequence values)."""
 
-    target: tuple
+    __slots__ = ("target",)
 
-    def __post_init__(self):
-        target = tuple(int(x) for x in self.target)
+    def __init__(self, target: tuple):
+        target = tuple(int(x) for x in target)
         if not target:
             raise ValueError("head needs at least one value")
         object.__setattr__(self, "target", target)
@@ -182,14 +180,13 @@ class Head:
         return len(self.target)
 
 
-@dataclass(frozen=True)
-class Body:
+class Body(Record):
     """Recurrence columns, listed in the order they are attached."""
 
-    columns: tuple
+    __slots__ = ("columns",)
 
-    def __post_init__(self):
-        columns = tuple(tuple(int(a) for a in col) for col in self.columns)
+    def __init__(self, columns: tuple):
+        columns = tuple(tuple(int(a) for a in col) for col in columns)
         if any(not col for col in columns):
             raise ValueError("columns must be nonempty")
         object.__setattr__(self, "columns", columns)

@@ -7,6 +7,7 @@ import pytest
 
 from markovnum.classicmarkov import (
     LETTER_MATRIX,
+    MAX_TREE_DEPTH,
     christoffel,
     cohn_matrix,
     cohn_root_matrices,
@@ -25,7 +26,7 @@ from markovnum.classicmarkov import (
     mediant,
     mu_domino,
 )
-from markovnum.errors import NotCoprimeError, NotUnimodularError
+from markovnum.errors import NotCoprimeError, NotUnimodularError, TooLargeError
 from markovnum.exactcore import IntMatrix, det_exact
 from markovnum.semigroup import farey_set_2, farey_set_3
 from fractions import Fraction
@@ -92,6 +93,22 @@ class TestTrees:
     def test_negative_depth_rejected(self, build, depth):
         with pytest.raises(ValueError):
             build(depth)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            markov_tree,
+            markov_numbers,
+            farey_tree,
+            cohn_tree,
+            # farey_set_2's depth counts its generators as the top level
+            lambda d: farey_set_2(IntMatrix.identity(2), IntMatrix.identity(2), d + 1),
+        ],
+        ids=["markov_tree", "markov_numbers", "farey_tree", "cohn_tree", "farey_set_2"],
+    )
+    def test_depth_over_budget_rejected(self, build):
+        with pytest.raises(TooLargeError):
+            build(MAX_TREE_DEPTH + 1)
 
     @pytest.mark.parametrize("depth", range(7))
     def test_trees_agree_with_descents(self, depth):

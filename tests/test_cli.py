@@ -224,6 +224,19 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tetris", "--vector", "10000000,9999999,9999997"),
+            ("markov", "tree", "--depth", "30"),
+            ("tetris", "--vector", "6,4,3"),
+        ],
+    )
+    def test_validation_error_over_budget_or_non_generic(self, run, argv):
+        code, out, err = run(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "scheme, gens",
         [
             ("fraction", [[[1, 1], [1, 2]]]),
@@ -259,3 +272,34 @@ class TestImports:
             "markovnum.errors",
             "markovnum.exactcore",
         ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["farey", "index", "--t", "2/3"],
+            ["wug", "count", "--file", "{snake}"],
+            ["subtract", "--triple", "7,5,3", "--strategy", "min-remainder", "--trace"],
+            ["tetris", "--vector", "7,5,3"],
+            ["render", "--kind", "embedding2", "--in", "{word}", "--out", "{svg}"],
+            ["semigroup", "family", "--a", "1", "--b", "2", "--depth", "3"],
+            ["perron", "--plls", "1,2"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")),
+    )
+    def test_commands_load_no_dataclasses(self, tmp_path, argv):
+        files = {"snake": tmp_path / "snake.json", "word": tmp_path / "word.json",
+                 "svg": tmp_path / "out.svg"}
+        files["snake"].write_text(json.dumps(EIGHT_SNAKE))
+        files["word"].write_text(json.dumps({"word": [0, 1, 1]}))
+        argv = [arg.format(**files) for arg in argv]
+        script = (
+            "import json, sys\n"
+            "from markovnum import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(json.dumps([m in sys.modules for m in ('dataclasses', 'inspect')]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(markovnum.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False]

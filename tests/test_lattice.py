@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovnum.contfrac import CompanionSpec, companion
-from markovnum.errors import ZeroVectorError
+from markovnum.errors import NotUnitStepError, TooLargeError, ZeroVectorError
 from markovnum.exactcore import IntMatrix
 from markovnum.lattice import (
+    MAX_CUBE_SUM,
     MODEL531_GENERATORS,
     SlowSequence,
     _exit_axis,
@@ -20,6 +21,7 @@ from markovnum.lattice import (
     embed2,
     embed3,
     model531_count,
+    model531_word_count,
     representative,
     snake_operator,
     tangent,
@@ -175,6 +177,22 @@ class TestCubeTraces:
         with pytest.raises(ValueError):
             SlowSequence(((0, 0), (1, 1)))
 
+    def test_non_generic_vectors_raise_not_unit_step(self):
+        for v in ((6, 4, 3), (3, 3)):
+            with pytest.raises(NotUnitStepError):
+                cubes_for_vector(v)
+        with pytest.raises(NotUnitStepError):
+            SlowSequence(((0, 0), (1, 1)))
+        # planes meeting at the last interior crossing make no step
+        assert cubes_for_vector((2, 2)).points == ((0, 0), (0, 1))
+
+    def test_sum_budget(self):
+        assert cube_count((MAX_CUBE_SUM,)) == MAX_CUBE_SUM
+        for trace in (cubes_for_vector, cube_count):
+            for v in ((10_000_000, 9_999_999, 9_999_997), (MAX_CUBE_SUM, 0, 1)):
+                with pytest.raises(TooLargeError):
+                    trace(v)
+
     def test_negative_coordinates(self):
         with pytest.raises(ValueError):
             cubes_for_vector((3, -1))
@@ -228,6 +246,19 @@ def _fraction_trace(v) -> tuple:
 class TestModel531:
     def test_anchor(self):
         assert model531_count((7, 5, 3)) == 36313494507
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 30)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_word_count_matches_letter_by_letter_product(self, runs):
+        word = [letter for letter, length in runs for _ in range(length)]
+        m = ((1, 0), (0, 1))
+        for letter in word:
+            g = MODEL531_GENERATORS[letter].rows
+            m = tuple(
+                tuple(m[i][0] * g[0][j] + m[i][1] * g[1][j] for j in range(2))
+                for i in range(2)
+            )
+        assert model531_word_count(word) == m[0][1]
 
     def test_single_generators(self):
         assert MODEL531_GENERATORS[0][0, 1] == 1
