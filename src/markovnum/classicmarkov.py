@@ -22,7 +22,13 @@ from .errors import (
     NotUnimodularError,
     TooLargeError,
 )
-from .exactcore import IntMatrix, Record, det_exact, matrix_product
+from .exactcore import (
+    IntMatrix,
+    Record,
+    count_perfect_matchings,
+    det_exact,
+    matrix_product,
+)
 
 MAX_TREE_DEPTH = 16
 """Deepest level below its root that the mediant tree builder reaches."""
@@ -280,39 +286,31 @@ def domino_mu_shift(p: int, q: int) -> int:
 
 
 def domino_mu_bruteforce(p: int, q: int) -> int:
-    """Perfect matchings of the snake polyomino's grid graph, enumerated."""
+    """Perfect matchings of the snake polyomino's grid graph, enumerated.
+
+    The grid graph is bipartite: its rows are the vertices with x + y
+    even, its columns the odd ones, each numbered in order of first
+    appearance along the snake, so the shared row-by-row counter
+    (``exactcore.count_perfect_matchings``; at most 256 rows) sees a
+    banded graph.
+    """
     cells = domino_geometry(p, q)
     if not cells:
         return 1
-    if len(cells) > 16:
-        raise TooLargeError("enumeration limited to 16 cells")
-    edges = set()
+    index = [{}, {}]  # vertex -> number, for even and odd x + y
+    neighbors = {}
     for x, y in cells:
         corners = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
+        for u in corners:
+            side = index[sum(u) % 2]
+            side.setdefault(u, len(side))
         for u, v in zip(corners, corners[1:] + corners[:1]):
-            edges.add((min(u, v), max(u, v)))
-    vertices = sorted({v for e in edges for v in e})
-    index = {v: i for i, v in enumerate(vertices)}
-    neighbors = [[] for _ in vertices]
-    for u, v in edges:
-        neighbors[index[u]].append(index[v])
-        neighbors[index[v]].append(index[u])
-
-    total = len(vertices)
-
-    def walk(used: int) -> int:
-        if used == (1 << total) - 1:
-            return 1
-        i = next(k for k in range(total) if not used & (1 << k))
-        count = 0
-        for j in neighbors[i]:
-            if not used & (1 << j):
-                count += walk(used | (1 << i) | (1 << j))
-        return count
-
-    if total % 2:
-        return 0
-    return walk(0)
+            if sum(u) % 2:
+                u, v = v, u
+            neighbors.setdefault(u, set()).add(v)
+    rows, columns = index
+    adjacency = [[(columns[v], 1) for v in neighbors[u]] for u in rows]
+    return count_perfect_matchings(adjacency, len(columns))
 
 
 # --- Markov's quadratic form ---------------------------------------------

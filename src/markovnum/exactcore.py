@@ -1,5 +1,5 @@
 """Exact arithmetic kernels: integer matrices, determinants, permanents,
-and quadratic surds.
+perfect-matching counts and quadratic surds.
 
 Everything here is exact.  Integers are plain Python ints (arbitrary
 precision), rationals are ``fractions.Fraction``, and quadratic
@@ -10,10 +10,12 @@ square-free radicand.  No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DimensionMismatchError, MixedRadicandError, TooLargeError
 
-_PERMANENT_LIMIT = 30
+_PERMANENT_LIMIT = 22
+_MATCHING_ROW_LIMIT = 256
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -354,7 +356,8 @@ def permanent(matrix: IntMatrix) -> int:
     are decided; a subtree whose product is zero contributes nothing and
     is skipped.
 
-    Limited to n <= 30; raises TooLargeError beyond that.
+    Limited to n <= 22 (a few seconds on a dense matrix; each further
+    size roughly doubles the time); raises TooLargeError beyond that.
     """
     n = matrix.n
     if n > _PERMANENT_LIMIT:
@@ -394,6 +397,53 @@ def permanent(matrix: IntMatrix) -> int:
         return total
 
     return walk(0, -1 if n % 2 else 1)
+
+
+def count_perfect_matchings(adjacency, columns: int) -> int:
+    """Perfect matchings of a bipartite graph, counted row by row.
+
+    ``adjacency`` yields, row by row, the list of ``(column,
+    multiplicity)`` edges of that row, columns numbered from 0 below
+    ``columns``; a multiplicity counts parallel edges.  Each level maps
+    a set of used columns to the number of partial matchings of the
+    rows so far that use exactly those columns, so partial matchings
+    leaving the same columns free are counted once (the transfer-matrix
+    method).  A column below the lowest one any later row reaches must
+    already be used: a state leaving it free is dropped, and the rest
+    are stored relative to that floor.  On a banded graph each level
+    then holds few states.
+
+    Limited to 256 rows; raises TooLargeError beyond that, having read
+    at most one row more.
+    """
+    adjacency = list(islice(adjacency, _MATCHING_ROW_LIMIT + 1))
+    n = len(adjacency)
+    if n > _MATCHING_ROW_LIMIT:
+        raise TooLargeError(f"matching count limited to {_MATCHING_ROW_LIMIT} rows")
+    # floor[i]: the base of the states before row i; every column below it
+    # is used.  After the last row that is every column.
+    floor = [columns] * (n + 1)
+    for i in range(n - 1, 0, -1):
+        floor[i] = min([floor[i + 1]] + [j for j, _ in adjacency[i]])
+    floor[0] = 0
+    level = {0: 1}
+    for i, row in enumerate(adjacency):
+        base, shift = floor[i], floor[i + 1] - floor[i]
+        forced = (1 << shift) - 1
+        nxt = {}
+        for used, count in level.items():
+            for j, mult in row:
+                bit = 1 << (j - base)
+                if used & bit:
+                    continue
+                state = used | bit
+                if state & forced == forced:
+                    state >>= shift
+                    nxt[state] = nxt.get(state, 0) + count * mult
+        if not nxt:
+            return 0
+        level = nxt
+    return level.get(0, 0)
 
 
 def permanent_bruteforce(matrix: IntMatrix) -> int:

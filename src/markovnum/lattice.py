@@ -6,8 +6,10 @@ encode.
 A cube word is multiplied run by run: each run of equal letters is one
 matrix power, so a word of L letters in R runs costs about R log L
 products instead of L.  Tracing is budgeted by the sum of the vector's
-nonzero entries, which bounds the number of cubes the segment crosses:
-beyond MAX_CUBE_SUM it raises TooLargeError before any work.
+nonzero entries, which bounds the number of cubes the segment crosses,
+and by their number, since choosing the exit axis lists 2^(n-1) facet
+vertices per axis: beyond MAX_CUBE_SUM or MAX_CUBE_DIMENSION it raises
+TooLargeError before any work.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .wugsnake import Body
 
 MAX_CUBE_SUM = 300_000
 """Largest sum of nonzero entries that cubes_for_vector and cube_count trace."""
+
+MAX_CUBE_DIMENSION = 12
+"""Most nonzero entries that cubes_for_vector and cube_count trace."""
 
 # Cell-step templates of the standard 2- and 3-generator embeddings.
 EMBED2_STEPS = (
@@ -222,6 +227,10 @@ def _crossings(v) -> tuple:
         raise ZeroVectorError("the zero vector traces no cubes")
     if sum(v) > MAX_CUBE_SUM:
         raise TooLargeError(f"entries summing to {sum(v)} exceed the limit {MAX_CUBE_SUM}")
+    if len(v) > MAX_CUBE_DIMENSION:
+        raise TooLargeError(
+            f"{len(v)} nonzero entries exceed the limit {MAX_CUBE_DIMENSION}"
+        )
     den = lcm(*v)
     cuts = sorted({i * (den // x) for x in v for i in range(x + 1)})
     return v, den, cuts
@@ -280,12 +289,15 @@ def model531_word_count(word) -> int:
 
     Each run of equal letters (the groups of word_display) is raised to
     its length as one matrix power, and the runs are multiplied left to
-    right.
+    right.  A letter naming no generator raises ArityMismatchError.
     """
-    runs = (
-        MODEL531_GENERATORS[letter] ** sum(1 for _ in group)
-        for letter, group in itertools.groupby(word)
-    )
+    runs = []
+    for letter, group in itertools.groupby(word):
+        if not 0 <= letter < len(MODEL531_GENERATORS):
+            raise ArityMismatchError(
+                f"letter A{letter + 1} is beyond the {len(MODEL531_GENERATORS)} generators"
+            )
+        runs.append(MODEL531_GENERATORS[letter] ** sum(1 for _ in group))
     return matrix_product(IntMatrix.identity(2), runs)[0, 1]
 
 

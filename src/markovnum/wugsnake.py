@@ -8,6 +8,13 @@ A wug-snake of size n carries integer weights w_{i,j} for
 perfect matchings of the associated bipartite graph (weighted edges
 counting as parallel edges) equals both the permanent of the
 biadjacency and the determinant of the continuant.
+
+The three counts here share no code: matching_count_bruteforce walks
+the explicit bipartite graph row by row, merging partial matchings that
+leave the same columns free (row i meets only columns >= i - 1, so a
+level holds at most one used column past the forced ones and the walk
+is O(n * nnz), up to 256 rows); matching_count_det eliminates the
+continuant; matching_sequence runs the column recurrence.
 """
 
 from __future__ import annotations
@@ -17,12 +24,15 @@ import json
 from .errors import (
     ArityMismatchError,
     DecompositionMismatchError,
-    TooLargeError,
 )
-from .exactcore import IntMatrix, Record, det_exact, matrix_product
+from .exactcore import (
+    IntMatrix,
+    Record,
+    count_perfect_matchings,
+    det_exact,
+    matrix_product,
+)
 from .contfrac import companion
-
-_BRUTEFORCE_LIMIT = 14
 
 
 class WugSnake:
@@ -140,28 +150,20 @@ def matching_count_bruteforce(w: WugSnake) -> int:
 
     Enumerates matchings of the bipartite graph with vertex classes
     (u_i), (v_j), edges u_i - v_j of multiplicity w_{i,j} for i <= j and
-    u_{j+1} - v_j of multiplicity 1.  Weights must be nonnegative.
+    u_{j+1} - v_j of multiplicity 1, row by row with equal partial
+    matchings merged (``exactcore.count_perfect_matchings``; at most 256
+    rows).  Weights must be nonnegative.
     """
-    n = w.n
-    if n > _BRUTEFORCE_LIMIT:
-        raise TooLargeError(f"enumeration limited to n <= {_BRUTEFORCE_LIMIT}")
     if any(x < 0 for x in w.weights.values()):
         raise ValueError("matching counts require nonnegative weights")
-    bi = w.biadjacency().rows
-    adjacency = [
-        [(j, bi[i][j]) for j in range(n) if bi[i][j]] for i in range(n)
-    ]
-
-    def walk(i: int, used: int) -> int:
-        if i == n:
-            return 1
-        total = 0
-        for j, mult in adjacency[i]:
-            if not used & (1 << j):
-                total += mult * walk(i + 1, used | (1 << j))
-        return total
-
-    return walk(0, 0)
+    weighted = {}
+    for (i, j), x in w.weights.items():
+        weighted.setdefault(i - 1, []).append((j - 1, x))
+    # rows are made as the counter reads them, so none past its budget
+    adjacency = (
+        ([(i - 1, 1)] if i else []) + weighted.get(i, []) for i in range(w.n)
+    )
+    return count_perfect_matchings(adjacency, w.n)
 
 
 class Head(Record):

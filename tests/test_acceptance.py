@@ -37,6 +37,7 @@ from markovnum.lattice import (
 )
 from markovnum.semigroup import (
     aa_bb_family,
+    aa_bb_generators,
     algebraic_markov,
     farey_set_2,
     geometric_markov_search,
@@ -48,11 +49,14 @@ from markovnum.semigroup import (
 )
 from markovnum.subtractive import STRATEGIES, reconstruct, run_mcf
 from markovnum.wugsnake import (
+    Body,
     Head,
     WugSnake,
     body_for_matrix,
     matching_count_bruteforce,
     matching_count_det,
+    matching_sequence,
+    snake_for,
     wug_determinant,
 )
 
@@ -244,3 +248,25 @@ def test_criterion_12_semigroup_certification():
         upper_right = node.element[0, 1]
         assert geometric_markov_search(node.element, 50) == upper_right
     _passed(12)
+
+
+def test_criterion_13_semigroup_snakes():
+    # m2 = C(a) C(b)^2 C(a)^-1, so a node element is C(a) Q C(a)^-1 with Q
+    # the positive companion word (m1 -> a, a; m2 -> b, b), and its Markov
+    # number is the last matching count of the snake of Q with head (1, 0)
+    for a, b in [(1, 2), (2, 3), (1, 3), (3, 5), (2, 7)]:
+        nodes = farey_set_2(*aa_bb_generators(a, b), 6, order="forward")
+        family = []
+        for node in nodes:
+            letters = [x for g in node.word for x in ((a, a), (b, b))[g]]
+            body = Body(tuple((x, 1) for x in reversed(letters)))
+            snake = snake_for(Head((1, 0)), body)
+            want = algebraic_markov(node.element)
+            assert matching_count_bruteforce(snake) == want
+            assert matching_count_det(snake) == want
+            assert matching_sequence(snake)[-1] == want
+            if snake.n <= 22:
+                assert permanent(snake.biadjacency()) == want
+            family.append((node.coordinate, want))
+        assert family == aa_bb_family(a, b, 6)
+    _passed(13)

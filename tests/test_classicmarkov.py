@@ -169,6 +169,15 @@ class TestDomino:
         for p, q in coprime_fractions(5):
             assert domino_mu_bruteforce(p, q) == frobenius_index(p, q)
 
+    def test_bruteforce_row_budget(self):
+        # every q < 60 fits the counter's 256 rows (one per even vertex,
+        # cells + 1); 34/89 has 243 cells and 55/89 has 285
+        for p, q in coprime_fractions(59):
+            assert domino_mu_bruteforce(p, q) == frobenius_index(p, q)
+        assert domino_mu_bruteforce(34, 89) == frobenius_index(34, 89)
+        with pytest.raises(TooLargeError):
+            domino_mu_bruteforce(55, 89)
+
     def test_domino_cells_connected(self):
         cells = domino_geometry(2, 3)
         assert len(cells) == len(set(cells))

@@ -79,6 +79,20 @@ class TestCommands:
         payload = lines(out)[0]
         assert payload == {"bruteforce": "29", "permanent": "29", "det": "29"}
 
+    def test_wug_count_beyond_fourteen(self, run, tmp_path):
+        # a path of squares: the count is a Fibonacci number; Ryser stops at n = 22
+        for n, want in ((20, 10946), (23, None)):
+            weights = [[i, j, 1] for i in range(1, n + 1) for j in (i, i + 1) if j <= n]
+            path = tmp_path / f"snake{n}.json"
+            path.write_text(json.dumps({"n": n, "weights": weights}))
+            code, out, err = run("wug", "count", "--file", str(path))
+            if want:
+                assert code == 0
+                assert lines(out)[0] == dict.fromkeys(("bruteforce", "permanent", "det"), str(want))
+            else:
+                assert code == 2 and out == ""
+                assert err.startswith("error:") and err.count("\n") == 1
+
     def test_wug_fuzz_deterministic(self, run):
         code1, out1, _ = run("--seed", "7", "wug", "fuzz", "--count", "10")
         code2, out2, _ = run("--seed", "7", "wug", "fuzz", "--count", "10")
@@ -229,6 +243,8 @@ class TestExitCodes:
             ("tetris", "--vector", "10000000,9999999,9999997"),
             ("markov", "tree", "--depth", "30"),
             ("tetris", "--vector", "6,4,3"),
+            ("tetris", "--vector", "2,3,5,7"),
+            ("tetris", "--vector", "2,3,5,7,11,13,17,19,23,29,31,37,41"),
         ],
     )
     def test_validation_error_over_budget_or_non_generic(self, run, argv):

@@ -13,6 +13,7 @@ from markovnum.errors import MixedRadicandError, TooLargeError
 from markovnum.exactcore import (
     IntMatrix,
     QuadraticSurd,
+    count_perfect_matchings,
     det_exact,
     permanent,
     permanent_bruteforce,
@@ -121,8 +122,22 @@ class TestPermanent:
             assert permanent(m) == permanent_bruteforce(m)
 
     def test_size_limit(self):
+        for n in (23, 31):
+            with pytest.raises(TooLargeError):
+                permanent(IntMatrix([[1] * n] * n))
+
+
+class TestMatchingCount:
+    def test_row_budget(self):
+        identity = [[(i, 1)] for i in range(256)]
+        assert count_perfect_matchings(identity, 256) == 1
         with pytest.raises(TooLargeError):
-            permanent(IntMatrix([[1] * 31] * 31))
+            count_perfect_matchings(identity + [[(256, 1)]], 257)
+
+    def test_unequal_sides(self):
+        assert count_perfect_matchings([[(0, 1), (1, 1)]], 2) == 0
+        assert count_perfect_matchings([[(0, 1)], [(0, 1)]], 1) == 0
+        assert count_perfect_matchings([], 0) == 1
 
 
 class TestMatrix:
@@ -205,6 +220,12 @@ class TestKernelProperties:
     @settings(max_examples=150, deadline=None)
     def test_permanent_matches_sympy(self, rows):
         assert permanent(IntMatrix(rows)) == sympy.Matrix(rows).per()
+
+    @given(square_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matching_count_is_the_permanent(self, rows):
+        adjacency = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+        assert count_perfect_matchings(adjacency, len(rows)) == sympy.Matrix(rows).per()
 
     @given(wug_snakes())
     @settings(max_examples=30, deadline=None)

@@ -9,9 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovnum.contfrac import CompanionSpec, companion
-from markovnum.errors import NotUnitStepError, TooLargeError, ZeroVectorError
+from markovnum.errors import (
+    ArityMismatchError,
+    NotUnitStepError,
+    TooLargeError,
+    ZeroVectorError,
+)
 from markovnum.exactcore import IntMatrix
 from markovnum.lattice import (
+    MAX_CUBE_DIMENSION,
     MAX_CUBE_SUM,
     MODEL531_GENERATORS,
     SlowSequence,
@@ -193,6 +199,14 @@ class TestCubeTraces:
                 with pytest.raises(TooLargeError):
                     trace(v)
 
+    def test_dimension_budget(self):
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)[: MAX_CUBE_DIMENSION + 1]
+        # pairwise coprime entries cross their planes one at a time
+        assert cube_count(primes[:-1]) == sum(primes) - primes[-1] - (MAX_CUBE_DIMENSION - 1)
+        for trace in (cubes_for_vector, cube_count):
+            with pytest.raises(TooLargeError):
+                trace(primes)
+
     def test_negative_coordinates(self):
         with pytest.raises(ValueError):
             cubes_for_vector((3, -1))
@@ -259,6 +273,13 @@ class TestModel531:
                 for i in range(2)
             )
         assert model531_word_count(word) == m[0][1]
+
+    def test_letters_beyond_the_generators(self):
+        for word in ((0, 3), (-1,)):
+            with pytest.raises(ArityMismatchError):
+                model531_word_count(word)
+        with pytest.raises(ArityMismatchError):
+            model531_count((2, 3, 5, 7))
 
     def test_single_generators(self):
         assert MODEL531_GENERATORS[0][0, 1] == 1

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovnum.contfrac import CompanionSpec, companion
 from markovnum.errors import DecompositionMismatchError, TooLargeError
@@ -41,6 +43,22 @@ def random_snake(rng, max_n=8, max_w=3):
     return WugSnake(n, weights)
 
 
+def plain_matching_count(w):
+    """Perfect matchings of the biadjacency graph, one branch per edge."""
+    rows = w.biadjacency().rows
+
+    def walk(i, used):
+        if i == w.n:
+            return 1
+        return sum(
+            x * walk(i + 1, used | 1 << j)
+            for j, x in enumerate(rows[i])
+            if x and not used & 1 << j
+        )
+
+    return walk(0, 0)
+
+
 class TestCounts:
     def test_single_edge(self):
         w = WugSnake(1, {(1, 1): 7})
@@ -67,7 +85,23 @@ class TestCounts:
 
     def test_bruteforce_limit(self):
         with pytest.raises(TooLargeError):
-            matching_count_bruteforce(WugSnake(15, {(1, 1): 1}))
+            matching_count_bruteforce(WugSnake(257, {(1, 1): 1}))
+
+    # w(1,1) = 0 leaves row 1 to a later column; a zero first row has no matching
+    @example(WugSnake(3, {(1, 2): 1, (2, 3): 2, (3, 3): 1}))
+    @example(WugSnake(3, {(2, 3): 3, (3, 3): 1}))
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.dictionaries(
+                st.tuples(st.integers(1, n), st.integers(1, n))
+                .map(sorted).map(tuple),
+                st.integers(0, 4),
+            ).map(lambda weights: WugSnake(n, weights))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bruteforce_matches_plain_enumeration(self, w):
+        assert matching_count_bruteforce(w) == plain_matching_count(w)
 
     def test_json_roundtrip(self):
         w = eight_snake()
