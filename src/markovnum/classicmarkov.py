@@ -22,13 +22,7 @@ from .errors import (
     NotUnimodularError,
     TooLargeError,
 )
-from .exactcore import (
-    IntMatrix,
-    Record,
-    count_perfect_matchings,
-    det_exact,
-    matrix_product,
-)
+from .exactcore import IntMatrix, Record, count_perfect_matchings, det_exact, matrix_product
 
 MAX_TREE_DEPTH = 16
 """Deepest level below its root that the mediant tree builder reaches."""

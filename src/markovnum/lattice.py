@@ -228,9 +228,7 @@ def _crossings(v) -> tuple:
     if sum(v) > MAX_CUBE_SUM:
         raise TooLargeError(f"entries summing to {sum(v)} exceed the limit {MAX_CUBE_SUM}")
     if len(v) > MAX_CUBE_DIMENSION:
-        raise TooLargeError(
-            f"{len(v)} nonzero entries exceed the limit {MAX_CUBE_DIMENSION}"
-        )
+        raise TooLargeError(f"{len(v)} nonzero entries exceed the limit {MAX_CUBE_DIMENSION}")
     den = lcm(*v)
     cuts = sorted({i * (den // x) for x in v for i in range(x + 1)})
     return v, den, cuts

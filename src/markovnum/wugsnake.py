@@ -21,17 +21,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import (
-    ArityMismatchError,
-    DecompositionMismatchError,
-)
-from .exactcore import (
-    IntMatrix,
-    Record,
-    count_perfect_matchings,
-    det_exact,
-    matrix_product,
-)
+from .errors import ArityMismatchError, DecompositionMismatchError
+from .exactcore import IntMatrix, Record, count_perfect_matchings, det_exact, matrix_product
 from .contfrac import companion
 
 
@@ -160,9 +151,7 @@ def matching_count_bruteforce(w: WugSnake) -> int:
     for (i, j), x in w.weights.items():
         weighted.setdefault(i - 1, []).append((j - 1, x))
     # rows are made as the counter reads them, so none past its budget
-    adjacency = (
-        ([(i - 1, 1)] if i else []) + weighted.get(i, []) for i in range(w.n)
-    )
+    adjacency = (([(i - 1, 1)] if i else []) + weighted.get(i, []) for i in range(w.n))
     return count_perfect_matchings(adjacency, w.n)
 
 
